@@ -13,6 +13,8 @@ exception).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,11 +27,22 @@ __all__ = [
     "DyadicCube",
     "DyadicGridFamily",
     "GridFunction",
+    "LevelBlocks",
     "read_gridfunction",
     "write_gridfunction",
 ]
 
 _MAX_DEPTH = {1: 12, 2: 8}
+
+
+def _cell_units(x, origin, h: float, m: int):
+    """Coordinates x in cell units of a mesh of m cells of side h, clipped to [0, m]."""
+    return np.clip((x - origin) / h, 0.0, m)
+
+
+def _overlap_fractions(u, v, j):
+    """Overlap of [u, v) with the cells [j, j + 1), all in cell units."""
+    return np.clip(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,7 @@ class DyadicGridFamily:
         self.shift_thirds = [
             tuple((g >> d) & 1 for d in range(n)) for g in range(2 ** n)
         ]
+        self._level_blocks: dict[tuple[int, int, int], LevelBlocks] = {}
 
     @property
     def n(self) -> int:
@@ -247,36 +261,63 @@ class DyadicGridFamily:
         if isinstance(levels, int):
             levels = [levels]
         for k in levels:
-            rng = self.coord_range(grid_id, k)
-            if self.n == 1:
-                for m0 in range(rng[0][0], rng[0][1] + 1):
-                    yield DyadicCube(grid_id, k, (m0,))
-            else:
-                for m0 in range(rng[0][0], rng[0][1] + 1):
-                    for m1 in range(rng[1][0], rng[1][1] + 1):
-                        yield DyadicCube(grid_id, k, (m0, m1))
+            axes = [range(lo, hi + 1) for lo, hi in self.coord_range(grid_id, k)]
+            for m in itertools.product(*axes):
+                yield DyadicCube(grid_id, k, m)
 
-    def cubes_inside_root(self, grid_id: int, level: int) -> list[DyadicCube]:
-        """Cubes at one level fully contained in the root box (exact test)."""
+    def inside_range(self, grid_id: int, level: int) -> tuple[tuple[int, int], ...]:
+        """Per-dimension [m_min, m_max] of cubes fully inside the root box (exact)."""
         self._check_grid(grid_id)
         self._check_level(level)
-        e = self._shift_signs(grid_id, level)
         full = 3 * (1 << level)
-        ranges = []
-        for ei in e:
-            # need 3m + e >= 0 and 3m + e + 3 <= 3*2^k
-            m_min = math.ceil(-ei / 3)
-            m_max = (full - 3 - ei) // 3
-            ranges.append((m_min, m_max))
-        out = []
-        if self.n == 1:
-            for m0 in range(ranges[0][0], ranges[0][1] + 1):
-                out.append(DyadicCube(grid_id, level, (m0,)))
-        else:
-            for m0 in range(ranges[0][0], ranges[0][1] + 1):
-                for m1 in range(ranges[1][0], ranges[1][1] + 1):
-                    out.append(DyadicCube(grid_id, level, (m0, m1)))
-        return out
+        # need 3m + e >= 0 and 3m + e + 3 <= 3*2^k
+        return tuple(
+            (math.ceil(-ei / 3), (full - 3 - ei) // 3)
+            for ei in self._shift_signs(grid_id, level)
+        )
+
+    def cubes_inside_root(self, grid_id: int, level: int) -> list[DyadicCube]:
+        """Cubes at one level fully contained in the root box, lexicographic."""
+        axes = [range(lo, hi + 1) for lo, hi in self.inside_range(grid_id, level)]
+        return [DyadicCube(grid_id, level, m) for m in itertools.product(*axes)]
+
+    def level_blocks(self, grid_id: int, level: int, depth: int) -> "LevelBlocks":
+        """The cubes of one grid level holding a cell centre of the depth-K mesh.
+
+        Per axis cube m covers [b (m + e/3), b (m + 1 + e/3)) in cell units,
+        b = 2^(K - level): b cells on an unshifted axis, b + 1 on a shifted
+        one (fewer where the root box clips).  Cached."""
+        key = (grid_id, level, depth)
+        if key in self._level_blocks:
+            return self._level_blocks[key]
+        self._check_grid(grid_id)
+        self._check_level(level)
+        m = 2 ** depth
+        b = 1 << (depth - level)
+        h = self.root.side / m
+        scale = self.root.side / (3 * (1 << level))
+        start, idx, frac, row = [], [], [], []
+        for d, e in enumerate(self._shift_signs(grid_id, level)):
+            # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
+            holder = (6 * np.arange(m) + 3 - 2 * b * e) // (6 * b)
+            coords = np.arange(holder[0], holder[-1] + 1)
+            # corners as cube_bounds computes them, so rows reproduce box_overlap bit for bit
+            u, v = (
+                _cell_units(self.root.lo[d] + scale * (3 * coords + e + c).astype(float),
+                            self.root.origin[d], h, m)[:, None]
+                for c in (0, 3)
+            )
+            i0, i1 = np.floor(u).astype(np.int64), np.ceil(v).astype(np.int64)
+            j = i0 + np.arange(int((i1 - i0).max()))
+            start.append(int(holder[0]))
+            idx.append(np.where(j < i1, j, m))
+            frac.append(_overlap_fractions(u, v, j))
+            row.append(holder - holder[0])
+        for a in idx + frac + row:
+            a.flags.writeable = False  # shared through the cache
+        blocks = LevelBlocks(tuple(start), tuple(idx), tuple(frac), tuple(row))
+        self._level_blocks[key] = blocks
+        return blocks
 
     def smallest_covering_cube(self, lo, hi):
         """Smallest family cube containing the box [lo, hi), or None.
@@ -301,6 +342,61 @@ class DyadicGridFamily:
                         best = cube
                     break  # finer levels of this grid cannot contain the box
         return best
+
+
+@dataclass(frozen=True)
+class LevelBlocks:
+    """One grid level as a block matrix over the mesh (see level_blocks).
+
+    Rows are the cubes holding at least one cell centre.  Per axis d:
+    start[d] is the cube coordinate of row 0; idx[d] (rows, width) lists
+    the cells each row meets in the mesh zero-extended by one cell (index
+    2^K); frac[d] holds their overlap fractions; row[d] maps every cell to
+    the row whose cube holds its centre.
+    """
+
+    start: tuple[int, ...]
+    idx: tuple[np.ndarray, ...]
+    frac: tuple[np.ndarray, ...]
+    row: tuple[np.ndarray, ...]
+
+    def select(self, ranges) -> tuple[slice, ...]:
+        """Per-axis row slices for inclusive cube-coordinate ranges [m_lo, m_hi]."""
+        return tuple(slice(lo - s, hi + 1 - s) for (lo, hi), s in zip(ranges, self.start))
+
+    def gather(self, cells: np.ndarray, sel=None) -> tuple[np.ndarray, np.ndarray]:
+        """Cell values and overlap fractions laid out (rows0, w0[, rows1, w1]),
+        which on the unshifted grid is cells.reshape(nc, b[, nc, b]); sel is
+        a per-axis slice of rows (see select)."""
+        sel = sel or (slice(None),) * len(self.idx)
+        vals = np.zeros(tuple(d + 1 for d in cells.shape))
+        vals[tuple(slice(0, d) for d in cells.shape)] = cells
+        for d, (i, s) in enumerate(zip(self.idx, sel)):
+            vals = vals.take(i[s], axis=2 * d)
+        return vals, functools.reduce(np.multiply.outer, [f[s] for f, s in zip(self.frac, sel)])
+
+    def rows(self, cells: np.ndarray, sel=None) -> tuple[np.ndarray, np.ndarray]:
+        """gather with one row per cube, (cubes, cells met), cubes in
+        lexicographic coordinate order."""
+        return tuple(
+            a.transpose(*range(0, a.ndim, 2), *range(1, a.ndim, 2))
+            .reshape(math.prod(a.shape[::2]), math.prod(a.shape[1::2]))
+            for a in self.gather(cells, sel)
+        )
+
+    def spread(self, per_cube: np.ndarray) -> np.ndarray:
+        """One value per cube onto the cells whose centres the cube holds."""
+        out = per_cube.reshape([len(i) for i in self.idx])
+        for d, r in enumerate(self.row):
+            out = out.take(r, axis=d)
+        return out
+
+    def spread_entries(self, per_entry: np.ndarray) -> np.ndarray:
+        """A rows() array onto the cells: each cell takes its own entry in
+        the row of the cube holding its centre."""
+        cols = [np.arange(r.size) - i[r, 0] for i, r in zip(self.idx, self.row)]
+        a = per_entry.reshape([len(i) for i in self.idx] + [i.shape[1] for i in self.idx])
+        return a[np.ix_(*self.row) + np.ix_(*cols)]
 
 
 class GridFunction:
@@ -365,13 +461,8 @@ class GridFunction:
         h = root.side / m
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        axes = []
-        for d in range(root.n):
-            u = np.clip((lo[d] - root.origin[d]) / h, 0.0, m)
-            v = np.clip((hi[d] - root.origin[d]) / h, 0.0, m)
-            j = np.arange(m)
-            w = np.minimum(v, j + 1.0) - np.maximum(u, j)
-            axes.append(np.clip(w, 0.0, 1.0))
+        u, v = (_cell_units(x, root.lo, h, m) for x in (lo, hi))
+        axes = [_overlap_fractions(u[d], v[d], np.arange(m)) for d in range(root.n)]
         cells = axes[0] if root.n == 1 else np.outer(axes[0], axes[1])
         return cls(root, cells)
 
@@ -493,16 +584,13 @@ class GridFunction:
         h = self.cell_side
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        u, v = (_cell_units(x, self.root.lo, h, m) for x in (lo, hi))
         slices, axes = [], []
         for d in range(self.n):
-            u = np.clip((lo[d] - self.root.origin[d]) / h, 0.0, m)
-            v = np.clip((hi[d] - self.root.origin[d]) / h, 0.0, m)
-            i0 = int(math.floor(u)) if u < v else 0
-            i1 = int(math.ceil(v)) if u < v else 0
-            j = np.arange(i0, i1)
-            w = np.minimum(v, j + 1.0) - np.maximum(u, j)
+            i0 = int(math.floor(u[d])) if u[d] < v[d] else 0
+            i1 = int(math.ceil(v[d])) if u[d] < v[d] else 0
             slices.append(slice(i0, i1))
-            axes.append(np.clip(w, 0.0, 1.0))
+            axes.append(_overlap_fractions(u[d], v[d], np.arange(i0, i1)))
         if self.n == 1:
             return (slices[0],), axes[0]
         return (slices[0], slices[1]), np.outer(axes[0], axes[1])

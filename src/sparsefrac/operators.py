@@ -5,9 +5,10 @@ argument.
 
 Dyadic operators sum over levels 0..K of one grid; the level-0 cutoff is
 shared by every verified inequality, so the excluded coarse tail never
-enters on either side.  Outputs are cellwise values at cell centers.  For
-the mesh-aligned grid they are exactly cellwise constant; for the shifted
-grids cell centers are the evaluation convention.
+enters on either side.  Every grid runs one block computation per level
+on DyadicGridFamily.level_blocks: a cube integrates over every cell it
+meets, weighted by overlap, and its value lands on the cells whose
+centers it holds, so outputs are cellwise values at cell centers.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction
-from .orlicz import YoungFunction, luxemburg_norm_arrays, luxemburg_norm_blocks
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, LevelBlocks
+from .orlicz import YoungFunction, luxemburg_norm_blocks
 from .weights import CubeBattery
 
 __all__ = [
@@ -80,40 +81,13 @@ def _cube_slices(ranges):
 def _level_cell_info(f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int):
     """Cube averages at one level, mapped onto cells by center membership.
 
-    Returns (per_cell_average, cubes_visited).  The aligned grid reduces to
-    block sums; shifted grids take exact overlap integrals for each cube
-    that holds at least one cell center.
+    Returns (per_cell_average, cubes_visited): the overlap-weighted block
+    sums of the level gather over the cube volume in cells.
     """
-    m = 2 ** f.depth
-    if family.is_aligned(grid_id):
-        b = 2 ** (f.depth - level)
-        if f.n == 1:
-            block = f.cells.reshape(-1, b).sum(axis=1) / b
-            return np.repeat(block, b), block.size
-        nc = m // b
-        block = f.cells.reshape(nc, b, nc, b).sum(axis=(1, 3)) / (b * b)
-        return np.repeat(np.repeat(block, b, axis=0), b, axis=1), block.size
-    s = family.side_at(level)
-    e = family._shift_signs(grid_id, level)
-    centers = f.cell_centers()
-    mi = [
-        np.floor((centers[d] - family.root.origin[d]) / s - e[d] / 3.0).astype(int)
-        for d in range(f.n)
-    ]
-    lo_axes = []
-    for d in range(f.n):
-        ms = np.arange(mi[d].min(), mi[d].max() + 1)
-        lo_axes.append(family.root.origin[d] + s * (ms + e[d] / 3.0))
-    if f.n == 1:
-        lo = lo_axes[0][:, None]
-        avg = f.box_integrals(lo, lo + s) / s
-        return avg[mi[0] - mi[0].min()], lo_axes[0].size
-    a0, a1 = lo_axes
-    lo = np.stack(np.meshgrid(a0, a1, indexing="ij"), axis=-1)
-    avg = f.box_integrals(lo, lo + s) / (s * s)
-    i0 = mi[0] - mi[0].min()
-    i1 = mi[1] - mi[1].min()
-    return avg[np.ix_(i0, i1)], a0.size * a1.size
+    blocks = family.level_blocks(grid_id, level, f.depth)
+    vals, frac = blocks.gather(f.cells)
+    avg = (vals * frac).sum(axis=tuple(range(1, vals.ndim, 2))) / 2 ** ((f.depth - level) * f.n)
+    return blocks.spread(avg), avg.size
 
 
 def dyadic_fractional_integral(
@@ -184,6 +158,21 @@ def fractional_maximal(
     )
 
 
+def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
+                 blocks: LevelBlocks, sel=None):
+    """sigma(Q) and ||f||_{Phi,Q,sigma} for the cubes of a level gather.
+
+    Zero-mass cubes get norm 0; the rest share one luxemburg_norm_blocks
+    call, whose bisection runs until every row it is given converges."""
+    vals, frac = blocks.rows(f.cells, sel)
+    mass = blocks.rows(sigma.cells, sel)[0] * frac * f.cell_volume
+    sq = mass.sum(axis=1)
+    live = sq > 0
+    norms = np.zeros_like(sq)
+    norms[live] = luxemburg_norm_blocks(vals[live], mass[live], phi)
+    return sq, norms
+
+
 def weighted_orlicz_fractional_maximal(
     f: GridFunction,
     sigma: GridFunction,
@@ -198,52 +187,13 @@ def weighted_orlicz_fractional_maximal(
     the plain weighted fractional maximal function.
     """
     f._same_mesh(sigma)
-    n = f.n
-    mdim = 2 ** f.depth
     out = np.zeros_like(f.cells)
     visits = 0
-    cellvol = f.cell_volume
     for k in range(f.depth + 1):
-        if family.is_aligned(grid_id):
-            b = 2 ** (f.depth - k)
-            if n == 1:
-                vals = f.cells.reshape(-1, b)
-                mass = sigma.cells.reshape(-1, b) * cellvol
-            else:
-                nc = mdim // b
-                vals = f.cells.reshape(nc, b, nc, b).transpose(0, 2, 1, 3).reshape(nc * nc, b * b)
-                mass = (
-                    sigma.cells.reshape(nc, b, nc, b).transpose(0, 2, 1, 3).reshape(nc * nc, b * b)
-                    * cellvol
-                )
-            norms = luxemburg_norm_blocks(vals, mass, phi)
-            sq = mass.sum(axis=1)
-            level_vals = sq ** (alpha / n) * norms
-            visits += level_vals.size
-            if n == 1:
-                percell = np.repeat(level_vals, b)
-            else:
-                nc = mdim // b
-                percell = np.repeat(
-                    np.repeat(level_vals.reshape(nc, nc), b, axis=0), b, axis=1
-                )
-            np.maximum(out, percell, out=out)
-        else:
-            for cube in family.enumerate_cubes(grid_id, k):
-                ranges = cells_in_cube(family, cube, f.depth)
-                if any(i0 >= i1 for i0, i1 in ranges):
-                    continue
-                lo, hi = family.cube_bounds(cube)
-                sl, frac = f.box_overlap(lo, hi)
-                mass = (sigma.cells[sl] * frac).ravel() * cellvol
-                total = mass.sum()
-                if total <= 0:
-                    continue
-                norm = luxemburg_norm_arrays(f.cells[sl].ravel(), mass, phi)
-                val = total ** (alpha / n) * norm
-                region = out[_cube_slices(ranges)]
-                np.maximum(region, val, out=region)
-                visits += 1
+        blocks = family.level_blocks(grid_id, k, f.depth)
+        sq, norms = _orlicz_rows(f, sigma, phi, blocks)
+        np.maximum(out, blocks.spread(sq ** (alpha / f.n) * norms), out=out)
+        visits += int(np.count_nonzero(sq > 0))
     return OperatorOutput(
         f.with_cells(out), "weighted_orlicz_fractional_maximal", grid_id,
         {"alpha": alpha, "phi": phi.kind}, visits,
@@ -325,62 +275,22 @@ def dyadic_commutator(
 ) -> OperatorOutput:
     """Sum over cubes of |Q|^(alpha/n) avg_Q |b(x) - b(y)| f(y) dy.
 
-    Accelerated with per-cube sorted prefix sums over the b values, so the
-    inner absolute-difference average costs O(cells log cells) per level;
-    on the aligned grid whole levels run as one block computation (and the
-    finest level drops out, a one-cell cube oscillates against itself).
+    Accelerated with sorted prefix sums over the b values of each cube's
+    row in the level gather, so a whole level costs one block computation
+    of O(cells log cells).  The y-row is every cell the cube meets; each x
+    cell takes its own entry of the row of the cube holding its centre.
     The plain loop in dyadic_commutator_naive is the normative definition.
     """
     b._same_mesh(f)
     out = np.zeros_like(f.cells)
     visits = 0
-    cellvol = f.cell_volume
-    n = f.n
-    m = 2 ** f.depth
     for k in range(f.depth + 1):
         factor = _size_factor(family, k, alpha) / family.volume_at(k)
-        if family.is_aligned(grid_id):
-            blk = 2 ** (f.depth - k)
-            if blk == 1:
-                visits += m ** n
-                continue
-            if n == 1:
-                bb = b.cells.reshape(-1, blk)
-                fm = f.cells.reshape(-1, blk) * cellvol
-                inner = _commutator_blocks(bb, fm)
-                out += factor * inner.reshape(m)
-            else:
-                nc = m // blk
-                bb = b.cells.reshape(nc, blk, nc, blk).transpose(0, 2, 1, 3) \
-                    .reshape(nc * nc, blk * blk)
-                fm = f.cells.reshape(nc, blk, nc, blk).transpose(0, 2, 1, 3) \
-                    .reshape(nc * nc, blk * blk) * cellvol
-                inner = _commutator_blocks(bb, fm)
-                out += factor * inner.reshape(nc, nc, blk, blk) \
-                    .transpose(0, 2, 1, 3).reshape(m, m)
-            visits += (m // blk) ** n
-            continue
-        for cube in family.enumerate_cubes(grid_id, k):
-            ranges = cells_in_cube(family, cube, f.depth)
-            if any(i0 >= i1 for i0, i1 in ranges):
-                continue
-            lo, hi = family.cube_bounds(cube)
-            sl, frac = f.box_overlap(lo, hi)
-            fm = (f.cells[sl] * frac).ravel() * cellvol
-            by = b.cells[sl].ravel()
-            order = np.argsort(by, kind="stable")
-            bs = by[order]
-            fms = fm[order]
-            cfm = np.concatenate(([0.0], np.cumsum(fms)))
-            cbm = np.concatenate(([0.0], np.cumsum(bs * fms)))
-            ftot, btot = cfm[-1], cbm[-1]
-            xb = b.cells[_cube_slices(ranges)].ravel()
-            pos = np.searchsorted(bs, xb, side="right")
-            inner = xb * (2.0 * cfm[pos] - ftot) + (btot - 2.0 * cbm[pos])
-            out[_cube_slices(ranges)] += factor * inner.reshape(
-                tuple(i1 - i0 for i0, i1 in ranges)
-            )
-            visits += 1
+        blocks = family.level_blocks(grid_id, k, f.depth)
+        fv, frac = blocks.rows(f.cells)
+        inner = _commutator_blocks(blocks.rows(b.cells)[0], fv * frac * f.cell_volume)
+        out += factor * blocks.spread_entries(inner)
+        visits += len(fv)
     return OperatorOutput(
         f.with_cells(out), "dyadic_commutator", grid_id, {"alpha": alpha}, visits
     )
@@ -418,15 +328,13 @@ def dyadic_commutator_naive(
 
 def bmo_norm(b: GridFunction, battery: CubeBattery) -> float:
     """Battery maximum of the mean oscillation avg_Q |b - <b>_Q|."""
-    best = 0.0
-    for i in range(len(battery)):
-        lo, hi = battery.bounds(i)
-        vol = float(battery.volumes()[i])
-        avg = b.box_integral(lo, hi) / vol
-        sl, frac = b.box_overlap(lo, hi)
-        osc = float((np.abs(b.cells[sl] - avg) * frac).sum()) * b.cell_volume / vol
-        best = max(best, osc)
-    return best
+    avg = battery.averages(b)
+    vol = battery.volumes()
+    osc = [
+        (np.abs(vals - avg[sl, None]) * frac).sum(axis=1) * b.cell_volume / vol[sl]
+        for sl, vals, frac in battery.overlap_rows(b)
+    ]
+    return float(np.concatenate(osc).max())
 
 
 # -- inner/outer split and level sets ----------------------------------------

@@ -142,22 +142,31 @@ class CubeBattery:
         """Plain averages of gf over every battery cube."""
         return gf.box_integrals(self._lo, self._hi) / self._vol
 
+    def overlap_rows(self, gf: GridFunction):
+        """Per (grid, level): (battery index slice, cell values, overlap
+        fractions), one row per cube; a level's battery cubes are a
+        contiguous row range of its level_blocks gather."""
+        start = 0
+        for g in range(self.family.num_grids):
+            for k in range(self.max_level + 1):
+                blocks = self.family.level_blocks(g, k, gf.depth)
+                sel = blocks.select(self.family.inside_range(g, k))
+                vals, frac = blocks.rows(gf.cells, sel)
+                yield slice(start, start + len(vals)), vals, frac
+                start += len(vals)
+
     def cell_min(self, gf: GridFunction) -> np.ndarray:
         """Per-cube minimum over cells meeting the cube with positive measure."""
-        out = np.empty(len(self.cubes))
-        for i in range(len(self.cubes)):
-            sl, frac = gf.box_overlap(self._lo[i], self._hi[i])
-            vals = gf.cells[sl]
-            out[i] = vals[frac > 1e-9].min()
-        return out
+        return np.concatenate([
+            np.where(frac > 1e-9, vals, np.inf).min(axis=1)
+            for _, vals, frac in self.overlap_rows(gf)
+        ])
 
     def cell_max_abs(self, gf: GridFunction) -> np.ndarray:
-        out = np.empty(len(self.cubes))
-        for i in range(len(self.cubes)):
-            sl, frac = gf.box_overlap(self._lo[i], self._hi[i])
-            vals = np.abs(gf.cells[sl])
-            out[i] = vals[frac > 1e-9].max()
-        return out
+        return np.concatenate([
+            np.where(frac > 1e-9, np.abs(vals), -np.inf).max(axis=1)
+            for _, vals, frac in self.overlap_rows(gf)
+        ])
 
 
 class Weight:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from sparsefrac.grid import (
     read_gridfunction,
     write_gridfunction,
 )
+
+from sparsefrac.operators import cells_in_cube
 
 from .oracles import naive_box_integral, naive_cube_average
 
@@ -129,6 +132,34 @@ class TestGridAxioms:
             assert best is not None
             worst = max(worst, fam.side_at(best.level) / side)
         assert worst <= 6.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLevelBlocks:
+    @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4)])
+    def test_rows_reproduce_box_overlap(self, root1, root2, dim, depth):
+        root = root1 if dim == 1 else root2
+        fam = DyadicGridFamily(root, depth)
+        m = 2 ** depth
+        # distinct cell values, so equal values mean equal cells
+        f = GridFunction(root, np.arange(float(m ** dim)).reshape((m,) * dim))
+        for gid in range(fam.num_grids):
+            for k in range(depth + 1):
+                blocks = fam.level_blocks(gid, k, depth)
+                for cube in fam.cubes_inside_root(gid, k):
+                    sel = blocks.select([(c, c) for c in cube.coords])
+                    sl, frac = f.box_overlap(*fam.cube_bounds(cube))
+                    vals, fracs = blocks.rows(f.cells, sel)
+                    assert vals.shape == fracs.shape == (1, frac.size)
+                    assert np.array_equal(vals[0], f.cells[sl].ravel())
+                    assert np.array_equal(fracs[0], frac.ravel())
+                # the x-window of every row: the cells whose centres it holds
+                for r in itertools.product(*(range(len(i)) for i in blocks.idx)):
+                    coords = tuple(s + i for s, i in zip(blocks.start, r))
+                    ranges = cells_in_cube(fam, DyadicCube(gid, k, coords), depth)
+                    for d in range(dim):
+                        held = np.flatnonzero(blocks.row[d] == r[d])
+                        assert np.array_equal(held, np.arange(*ranges[d]))
 
 
 class TestContainingCube:

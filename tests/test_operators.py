@@ -30,6 +30,7 @@ from .oracles import (
     naive_dyadic_maximal,
     naive_orlicz_maximal,
     naive_sparse_integral,
+    overlap_weights,
 )
 
 GEOM_SUM_HALF_K3 = sum(2.0 ** (-k / 2) for k in range(4))
@@ -199,6 +200,24 @@ class TestOrliczMaximal:
             assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
 
 
+    @pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3)])
+    def test_zero_mass_block_contributes_nothing(self, root1, root2, dim, depth):
+        # sigma vanishes on one level-1 block of grid 0: cubes inside it
+        # carry no sigma-mass and drop out on every grid
+        root = root1 if dim == 1 else root2
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(19)
+        shape = (2 ** depth,) * dim
+        f = GridFunction(root, rng.uniform(0.1, 1, shape))
+        cells = rng.uniform(0.3, 2, shape)
+        cells[(slice(0, 2 ** (depth - 1)),) * dim] = 0.0
+        sigma = GridFunction(root, cells)
+        for gid in range(fam.num_grids):
+            got = weighted_orlicz_fractional_maximal(f, sigma, 0.4, LLOG, fam, gid).cells
+            ref = naive_orlicz_maximal(f, sigma, 0.4, LLOG, fam, gid)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
 class TestCommutators:
     def test_constant_b_vanishes(self, root1):
         fam = DyadicGridFamily(root1, 5)
@@ -276,6 +295,28 @@ class TestBmoNorm:
         bat = CubeBattery(fam, 6)
         b = GridFunction.from_callable(root1, 10, lambda x: np.log(np.abs(x - 1 / 3)))
         assert bmo_norm(b, bat) == pytest.approx(0.7787282983485166, rel=1e-9)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim,depth,level", [(1, 8, 4), (2, 4, 3)])
+    def test_battery_matches_brute_force(self, root1, root2, dim, depth, level):
+        root = root1 if dim == 1 else root2
+        fam = DyadicGridFamily(root, depth)
+        bat = CubeBattery(fam, level)
+        rng = np.random.default_rng(20)
+        b = GridFunction(root, rng.normal(0, 1, (2 ** depth,) * dim))
+        osc, lows, highs = [], [], []
+        for i in range(len(bat)):
+            lo, hi = bat.bounds(i)
+            vol = float(bat.volumes()[i])
+            w = overlap_weights(b, lo, hi)
+            avg = float((b.cells * w).sum()) * b.cell_volume / vol
+            osc.append(float((np.abs(b.cells - avg) * w).sum()) * b.cell_volume / vol)
+            lows.append(b.cells[w > 1e-9].min())
+            highs.append(np.abs(b.cells[w > 1e-9]).max())
+        assert bmo_norm(b, bat) == pytest.approx(max(osc), rel=1e-12)
+        assert np.array_equal(bat.cell_min(b), lows)
+        assert np.array_equal(bat.cell_max_abs(b), highs)
 
 
 class TestInnerOuterSplit:
