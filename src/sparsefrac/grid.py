@@ -5,10 +5,10 @@ grid family holds the 2^n one-third-shifted dyadic grids; a cube is
 addressed by (grid_id, level, integer coords) and its corners are exact
 rationals with denominator 3 * 2^level, so nesting and disjointness tests
 are pure integer arithmetic.  Mesh functions are arrays of cell values at
-depth K with a precomputed cumulative table, giving O(1) box integrals
-that are exact for boxes cutting through cells (the shifted grids are not
-mesh aligned, so partial-cell overlap is the common case, not the
-exception).
+depth K with a cumulative table (built on first use), giving O(1) box
+integrals that are exact for boxes cutting through cells (the shifted
+grids are not mesh aligned, so partial-cell overlap is the common case,
+not the exception).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "DyadicGridFamily",
     "GridFunction",
     "LevelBlocks",
+    "range_coords",
     "read_gridfunction",
     "write_gridfunction",
 ]
@@ -43,6 +44,13 @@ def _cell_units(x, origin, h: float, m: int):
 def _overlap_fractions(u, v, j):
     """Overlap of [u, v) with the cells [j, j + 1), all in cell units."""
     return np.clip(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0, 1.0)
+
+
+def range_coords(ranges) -> np.ndarray:
+    """(N, n) integer coordinates of the inclusive per-axis ranges [m_lo, m_hi],
+    in lexicographic order (the order of enumerate_cubes)."""
+    axes = [np.arange(lo, hi + 1) for lo, hi in ranges]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -172,11 +180,19 @@ class DyadicGridFamily:
         return lo, hi, 3 * (1 << cube.level)
 
     def cube_bounds(self, cube: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
-        lo_num, hi_num, denom = self.cube_bounds_thirds(cube)
-        scale = self.root.side / denom
-        lo = self.root.lo + scale * np.asarray(lo_num, dtype=float)
-        hi = self.root.lo + scale * np.asarray(hi_num, dtype=float)
-        return lo, hi
+        lo, hi = self.cube_corners(cube.grid_id, cube.level, [cube.coords])
+        return lo[0], hi[0]
+
+    def cube_corners(self, grid_id: int, level: int, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners, each (N, n), of the cubes at integer coords (N, n).
+
+        The one float expression for corners: origin + side / (3 * 2^level)
+        * float(3 m + e [+ 3]), so every caller gets the same bits."""
+        num = 3 * np.asarray(coords, dtype=np.int64).reshape(-1, self.n)
+        num += self._shift_signs(grid_id, level)
+        scale = self.root.side / (3 * (1 << level))
+        origin = self.root.lo
+        return origin + scale * num.astype(float), origin + scale * (num + 3).astype(float)
 
     def relation(self, p: DyadicCube, q: DyadicCube) -> str:
         """Exact set relation of two same-grid cubes.
@@ -235,6 +251,14 @@ class DyadicGridFamily:
                 )
             )
         return kids
+
+    def child_coords(self, grid_id: int, level: int, coords) -> np.ndarray:
+        """Coordinates (N * 2^n, n) of the children of the level cubes at
+        coords (N, n), each cube's 2^n children together in children() order."""
+        offsets = np.array([[(j >> d) & 1 for d in range(self.n)] for j in range(2 ** self.n)])
+        base = 2 * np.asarray(coords, dtype=np.int64).reshape(-1, self.n)
+        base += self._shift_signs(grid_id, level)
+        return (base[:, None, :] + offsets).reshape(-1, self.n)
 
     def parent(self, cube: DyadicCube) -> DyadicCube:
         if cube.level == 0:
@@ -295,7 +319,6 @@ class DyadicGridFamily:
         m = 2 ** depth
         b = 1 << (depth - level)
         h = self.root.side / m
-        scale = self.root.side / (3 * (1 << level))
         start, idx, frac, row = [], [], [], []
         for d, e in enumerate(self._shift_signs(grid_id, level)):
             # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
@@ -303,9 +326,8 @@ class DyadicGridFamily:
             coords = np.arange(holder[0], holder[-1] + 1)
             # corners as cube_bounds computes them, so rows reproduce box_overlap bit for bit
             u, v = (
-                _cell_units(self.root.lo[d] + scale * (3 * coords + e + c).astype(float),
-                            self.root.origin[d], h, m)[:, None]
-                for c in (0, 3)
+                _cell_units(x[:, d], self.root.origin[d], h, m)[:, None]
+                for x in self.cube_corners(grid_id, level, np.repeat(coords[:, None], self.n, 1))
             )
             i0, i1 = np.floor(u).astype(np.int64), np.ceil(v).astype(np.int64)
             j = i0 + np.arange(int((i1 - i0).max()))
@@ -405,8 +427,8 @@ class GridFunction:
     Cell values are stored in C order, cells[i] spanning
     [o + i*h, o + (i+1)*h) per axis with h = side * 2^-depth.  The function
     is extended by zero outside the root box.  A cumulative table in
-    extended precision makes box integrals exact up to a few ulps even
-    when the query box cuts cells.
+    extended precision, built on the first box integral, makes box
+    integrals exact up to a few ulps even when the query box cuts cells.
     """
 
     def __init__(self, root: RootBox, cells: np.ndarray):
@@ -426,11 +448,14 @@ class GridFunction:
         self.depth = depth
         self.cells = cells
         self.cells.flags.writeable = False
-        cum = cells.astype(np.longdouble)
-        for ax in range(n):
+
+    @functools.cached_property
+    def _cum(self) -> np.ndarray:
+        """Long-double cumulative table, zero-padded in front; built on first use."""
+        cum = self.cells.astype(np.longdouble)
+        for ax in range(self.n):
             cum = np.cumsum(cum, axis=ax)
-        pad = [(1, 0)] * n
-        self._cum = np.pad(cum, pad)
+        return np.pad(cum, [(1, 0)] * self.n)
 
     # -- constructors -----------------------------------------------------
 

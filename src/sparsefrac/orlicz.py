@@ -150,7 +150,7 @@ def luxemburg_norm_blocks(values: np.ndarray, masses: np.ndarray,
         return (np.einsum("ij,ij->i", a ** phi.exponent, m)) ** (1.0 / phi.exponent)
     out = np.zeros(a.shape[0])
     peak = a.max(axis=1)
-    live = peak > 0
+    live = np.any((a > 0) & (m > 0), axis=1)  # as in luxemburg_norm_arrays
     if not np.any(live):
         return out
     a, m, peak = a[live], m[live], peak[live]

@@ -1,13 +1,18 @@
 """Sparse family extraction, certification, and domination checks.
 
-Two stopping-time constructions are provided.  The geometric-threshold
-levels S_k collect, for each k, the maximal grid cubes whose average
-crosses a^k; level-0 cubes have no parent in the materialized grid, so
-they are maximal whenever their own average qualifies.  The operator
-domination uses the recursive principal-cube construction seeded at the
-level-0 cubes: children are the maximal descendants whose average jumps
-by the factor a = 2^(n+1), which forces the half-density condition by
-construction for every cube including the seeds.
+Two stopping-time constructions are provided, both as level sweeps: one
+GridFunction.box_integrals call averages all the cubes a level needs, and
+the stopping rule runs over those arrays top-down, parents before
+children.  The geometric-threshold levels S_k collect, for each k, the
+maximal grid cubes whose average crosses a^k; level-0 cubes have no
+parent in the materialized grid, so they are maximal whenever their own
+average qualifies.  The operator domination uses the recursive
+principal-cube construction (Lacey, Moen, Perez and Torres) seeded at the
+level-0 cubes: a cube is selected when its average exceeds a = 2^(n+1)
+times the average of its nearest selected ancestor, which forces the
+half-density condition by construction for every cube including the
+seeds.  Certification finds each cube's nearest selected ancestor by
+walking parent pointers, so it never compares cubes pairwise.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, range_coords
 from .operators import (
     cells_in_cube,
     _cube_slices,
@@ -80,9 +85,22 @@ class DominationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _cube_average(f: GridFunction, family: DyadicGridFamily, cube: DyadicCube) -> float:
-    lo, hi = family.cube_bounds(cube)
-    return f.box_integral(lo, hi) / family.volume_at(cube.level)
+def _level_averages(
+    f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int, coords
+) -> np.ndarray:
+    """Averages of f over the level cubes at coords (N, n), in one
+    box_integrals call."""
+    lo, hi = family.cube_corners(grid_id, level, coords)
+    return f.box_integrals(lo, hi) / family.volume_at(level)
+
+
+def _check_ratio(family: DyadicGridFamily, a: float | None) -> float:
+    n = family.n
+    if a is None:
+        a = float(2 ** (n + 1))
+    if not a > 2 ** n:
+        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
+    return a
 
 
 def cz_stopping_cubes(
@@ -97,46 +115,58 @@ def cz_stopping_cubes(
     is selected whenever its own average qualifies.  Every selected cube
     with a parent satisfies the bracket a^k < avg <= 2^n a^k; level-0
     cubes only satisfy the lower half.  Thresholds run over the integer k
-    with a^k inside the range of positive cube averages.  Requires
-    a > 2^n; returns {} for g identically zero.
+    with a^k inside the range of positive cube averages, taken over every
+    cube of the ambient coordinate range (one box_integrals call per
+    level).  The descent only enters cubes of positive average, so the
+    cubes it can reach form a tree, built once: each level's children of
+    the previous level's tree cubes, kept where positive (children outside
+    the ambient range read 0).  Each threshold is then one top-down pass
+    over that tree: a cube is selected when it is above the threshold and
+    no ancestor is.  Requires a > 2^n; returns {} for g identically zero.
     """
-    n = family.n
-    if a is None:
-        a = float(2 ** (n + 1))
-    if not a > 2 ** n:
-        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
+    a = _check_ratio(family, a)
     if g.min_cell() < 0:
         raise ValueError("stopping cubes need a non-negative function")
-    depth = g.depth
-    averages: dict[DyadicCube, float] = {}
-    for k in range(depth + 1):
-        for cube in family.enumerate_cubes(grid_id, k):
-            averages[cube] = _cube_average(g, family, cube)
-    positive = [v for v in averages.values() if v > 0]
-    if not positive:
+    ranges = [family.coord_range(grid_id, k) for k in range(g.depth + 1)]
+    averages = [
+        _level_averages(g, family, grid_id, k, range_coords(r)).reshape(
+            [hi - lo + 1 for lo, hi in r])
+        for k, r in enumerate(ranges)
+    ]
+    positive = np.concatenate([v[v > 0] for v in averages])
+    if not positive.size:
         return {}
-    k_lo = math.floor(math.log(min(positive), a))
-    k_hi = math.ceil(math.log(max(positive), a))
-    roots = [c for c in family.enumerate_cubes(grid_id, 0) if averages[c] > 0]
+    k_lo = math.floor(math.log(float(positive.min()), a))
+    k_hi = math.ceil(math.log(float(positive.max()), a))
+
+    # the cubes the descent can enter, level by level: (coords, averages,
+    # parent rows); level 0 hangs off one virtual parent
+    tree = []
+    coords = range_coords(ranges[0])
+    parent = np.zeros(len(coords), dtype=np.int64)
+    for k, (r, table) in enumerate(zip(ranges, averages)):
+        if k:
+            coords = family.child_coords(grid_id, k - 1, tree[-1][0])
+            parent = np.arange(len(coords)) >> family.n
+        offset = coords - [lo for lo, _ in r]
+        inside = np.all((offset >= 0) & (offset < table.shape), axis=1)
+        avg = np.zeros(len(coords))
+        avg[inside] = table[tuple(offset[inside].T)]
+        keep = avg > 0
+        tree.append((coords[keep], avg[keep], parent[keep]))
+
     levels: dict[int, list[DyadicCube]] = {}
-    for k in range(k_lo, k_hi + 1):
-        thr = a ** k
+    for j in range(k_lo, k_hi + 1):
+        thr = a ** j
         selected: list[DyadicCube] = []
-
-        def descend(cube: DyadicCube):
-            if averages[cube] > thr:
-                selected.append(cube)
-                return
-            if cube.level >= depth:
-                return
-            for child in family.children(cube):
-                if averages.get(child, 0.0) > 0:
-                    descend(child)
-
-        for root_cube in roots:
-            descend(root_cube)
+        stopped = np.zeros(1, dtype=bool)  # per cube: it or an ancestor is above thr
+        for k, (coords, avg, parent) in enumerate(tree):
+            above, blocked = avg > thr, stopped[parent]
+            stopped = above | blocked
+            selected += [DyadicCube(grid_id, k, tuple(m))
+                         for m in coords[above & ~blocked].tolist()]
         if selected:
-            levels[k] = sorted(selected)
+            levels[j] = sorted(selected)
     return levels
 
 
@@ -153,34 +183,29 @@ def sparse_select_for_operator(
     a * (the cube's average).  Disjoint children then cover at most 1/a of
     the parent, so the family is sparse by construction, and between
     consecutive selections the operator's level sums are geometric.
+
+    A frontier sweep: level 0 is every level-0 cube of the ambient range,
+    level k + 1 the children of the level-k cubes of positive average.
+    One box_integrals call averages a level; every frontier cube carries
+    base, the average of its nearest selected ancestor (0 at level 0), and
+    is selected when avg > a * base.  These are exactly the cubes a
+    depth-first descent averages and selects.
     """
-    n = family.n
-    if a is None:
-        a = float(2 ** (n + 1))
-    if not a > 2 ** n:
-        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
+    a = _check_ratio(family, a)
     if f.min_cell() < 0:
         raise ValueError("sparse selection needs a non-negative function")
-    depth = f.depth
     selected: list[DyadicCube] = []
-
-    def build(cube: DyadicCube, base_avg: float):
-        selected.append(cube)
-        if cube.level >= depth:
-            return
-        stack = list(family.children(cube))
-        while stack:
-            cand = stack.pop()
-            avg = _cube_average(f, family, cand)
-            if avg > a * base_avg:
-                build(cand, avg)
-            elif cand.level < depth and avg > 0:
-                stack.extend(family.children(cand))
-
-    for cube in family.enumerate_cubes(grid_id, 0):
-        avg = _cube_average(f, family, cube)
-        if avg > 0:
-            build(cube, avg)
+    coords = range_coords(family.coord_range(grid_id, 0))
+    base = np.zeros(len(coords))
+    for k in range(f.depth + 1):
+        avg = _level_averages(f, family, grid_id, k, coords)
+        chosen = avg > a * base
+        selected += [DyadicCube(grid_id, k, tuple(m)) for m in coords[chosen].tolist()]
+        live = avg > 0  # a chosen cube has avg > a * base >= 0
+        if k == f.depth or not live.any():
+            break
+        coords = family.child_coords(grid_id, k, coords[live])
+        base = np.repeat(np.where(chosen, avg, base)[live], 2 ** family.n)
     return SparseFamily(grid_id, selected)
 
 
@@ -189,43 +214,40 @@ def certify_sparse(
 ) -> SparseCertificate:
     """Check carrier disjointness and the half-density condition.
 
-    Carriers are cell masks (the cube's cells minus the cells of its
-    selected strict descendants) and their disjointness is exact cell-level
-    set algebra.  Densities are geometric: the measure removed from a cube
-    is the total volume of its maximal selected strict descendants, which
-    is exact for every grid, including shifted cubes that extend past the
-    root box where no cells live.
+    Each cube's nearest selected strict ancestor is found by walking parent
+    pointers (O(N K)); the maximal selected strict descendants of q are the
+    cubes whose nearest selected ancestor is q.  Carriers are cell masks
+    (the cube's cells minus the cells of its maximal selected descendants,
+    which hold every selected descendant) and their disjointness is exact
+    cell-level set algebra.  Densities are geometric: the measure removed
+    from a cube is the total volume of its maximal selected strict
+    descendants, summed in cube order, which is exact for every grid,
+    including shifted cubes that extend past the root box where no cells
+    live.
     """
     cubes = sparse.cubes
+    index = {c: i for i, c in enumerate(cubes)}
+    maximal = [[] for _ in cubes]  # per cube, its maximal selected strict descendants
+    for j, c in enumerate(cubes):
+        while c.level > 0:
+            c = family.parent(c)
+            if c in index:
+                maximal[index[c]].append(j)
+                break
     shape = (2 ** depth,) * family.n
-    masks = []
-    inside = [[] for _ in cubes]  # indices of strict descendants per cube
-    for i, c in enumerate(cubes):
-        mask = np.zeros(shape, dtype=bool)
-        mask[_cube_slices(cells_in_cube(family, c, depth))] = True
-        masks.append(mask)
-        for j, other in enumerate(cubes):
-            if other != c and family.relation(other, c) == "p_in_q":
-                inside[i].append(j)
+    cells = [_cube_slices(cells_in_cube(family, c, depth)) for c in cubes]
     carriers = {}
     count = np.zeros(shape, dtype=np.int64)
     min_density = math.inf
     first_violation = None
     for i, q in enumerate(cubes):
-        carrier = masks[i].copy()
-        descendants = inside[i]
-        for j in descendants:
-            carrier &= ~masks[j]
+        carrier = np.zeros(shape, dtype=bool)
+        carrier[cells[i]] = True
+        for j in maximal[i]:
+            carrier[cells[j]] = False
         carriers[q] = carrier
         count += carrier
-        maximal = [
-            j for j in descendants
-            if not any(
-                k != j and family.relation(cubes[j], cubes[k]) == "p_in_q"
-                for k in descendants
-            )
-        ]
-        removed = sum(family.volume_at(cubes[j].level) for j in maximal)
+        removed = sum(family.volume_at(cubes[j].level) for j in maximal[i])
         density = 1.0 - removed / family.volume_at(q.level)
         if density < min_density:
             min_density = density

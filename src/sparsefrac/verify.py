@@ -12,6 +12,7 @@ characteristic is slope-fitted to confirm the stated powers suffice.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,6 +227,14 @@ class Workspace:
     battery_depth: int
     family: DyadicGridFamily
     battery: CubeBattery
+
+    @functools.cached_property
+    def full_battery(self) -> CubeBattery:
+        """The battery down to the mesh depth, built on first use; battery
+        itself when battery_depth == depth."""
+        if self.battery_depth == self.depth:
+            return self.battery
+        return CubeBattery(self.family, self.depth)
 
 
 def workspace(root: RootBox, depth: int, battery_depth: int) -> Workspace:
@@ -538,8 +547,7 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     w = _case_weight(case)
     f = _case_function(case)
     sigma, v = w.sigma(e), w.v(e)
-    full_battery = CubeBattery(ws.family, case.depth)
-    char = apq_characteristic(w, e, full_battery)
+    char = apq_characteristic(w, e, ws.full_battery)
     sparse = sparse_select_for_operator(f, ws.family, 0)
     cert = certify_sparse(sparse, ws.family, case.depth)
     density_const = 2.0 ** (e.r_prime / e.p + e.r / e.p_prime)

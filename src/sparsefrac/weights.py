@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, range_coords
 
 __all__ = [
     "ExponentTriple",
@@ -111,19 +111,17 @@ class CubeBattery:
             raise ValueError("battery level out of range")
         self.family = family
         self.max_level = max_level
-        cubes: list[DyadicCube] = []
+        self.cubes: list[DyadicCube] = []
+        parts = []  # per (grid, level): lo, hi, volumes
         for g in range(family.num_grids):
             for k in range(max_level + 1):
-                cubes.extend(family.cubes_inside_root(g, k))
-        if not cubes:
+                coords = range_coords(family.inside_range(g, k))
+                self.cubes += [DyadicCube(g, k, tuple(m)) for m in coords.tolist()]
+                parts.append((*family.cube_corners(g, k, coords),
+                              np.full(len(coords), family.volume_at(k))))
+        if not self.cubes:
             raise ValueError("empty battery")
-        self.cubes = cubes
-        lo = np.empty((len(cubes), family.n))
-        hi = np.empty((len(cubes), family.n))
-        for i, c in enumerate(cubes):
-            lo[i], hi[i] = family.cube_bounds(c)
-        self._lo, self._hi = lo, hi
-        self._vol = np.array([family.volume_at(c.level) for c in cubes])
+        self._lo, self._hi, self._vol = (np.concatenate(a) for a in zip(*parts))
 
     def __len__(self) -> int:
         return len(self.cubes)

@@ -3,13 +3,19 @@
 Everything here works from first principles: per-cell overlap fractions
 computed with min/max, plain loops over cubes, no cumulative tables and
 no vectorized block tricks, so these stay independent of the accelerated
-paths they check.
+paths they check.  The per-cube sparse machinery at the end is the one
+exception: it averages with the library's scalar box_integral, so the
+level sweeps it checks must reproduce it bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from sparsefrac.grid import DyadicGridFamily, GridFunction
+from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
+from sparsefrac.operators import _cube_slices, cells_in_cube
 from sparsefrac.orlicz import YoungFunction, luxemburg_norm_arrays
+from sparsefrac.sparse import SparseCertificate, SparseFamily
 
 
 def cell_bounds(f: GridFunction, index):
@@ -159,3 +165,143 @@ def naive_weak_quasinorm(values, density: GridFunction, q: float) -> float:
             continue
         best = max(best, t * mass[vals >= t].sum() ** (1.0 / q))
     return best
+
+
+# -- per-cube sparse machinery -------------------------------------------------
+#
+# The cube-by-cube stopping times and certification that the level sweeps in
+# sparsefrac.sparse replace.  They average with the same scalar box_integral
+# and sum volumes in the same order, so the sweeps must match them exactly.
+
+
+def _cube_average(f: GridFunction, family: DyadicGridFamily, cube: DyadicCube) -> float:
+    lo, hi = family.cube_bounds(cube)
+    return f.box_integral(lo, hi) / family.volume_at(cube.level)
+
+
+def naive_cz_stopping(
+    g: GridFunction,
+    family: DyadicGridFamily,
+    grid_id: int,
+    a: float | None = None,
+) -> dict[int, list[DyadicCube]]:
+    """Stopping levels S_k by a depth-first descent per threshold."""
+    n = family.n
+    if a is None:
+        a = float(2 ** (n + 1))
+    if not a > 2 ** n:
+        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
+    if g.min_cell() < 0:
+        raise ValueError("stopping cubes need a non-negative function")
+    depth = g.depth
+    averages: dict[DyadicCube, float] = {}
+    for k in range(depth + 1):
+        for cube in family.enumerate_cubes(grid_id, k):
+            averages[cube] = _cube_average(g, family, cube)
+    positive = [v for v in averages.values() if v > 0]
+    if not positive:
+        return {}
+    k_lo = math.floor(math.log(min(positive), a))
+    k_hi = math.ceil(math.log(max(positive), a))
+    roots = [c for c in family.enumerate_cubes(grid_id, 0) if averages[c] > 0]
+    levels: dict[int, list[DyadicCube]] = {}
+    for k in range(k_lo, k_hi + 1):
+        thr = a ** k
+        selected: list[DyadicCube] = []
+
+        def descend(cube: DyadicCube):
+            if averages[cube] > thr:
+                selected.append(cube)
+                return
+            if cube.level >= depth:
+                return
+            for child in family.children(cube):
+                if averages.get(child, 0.0) > 0:
+                    descend(child)
+
+        for root_cube in roots:
+            descend(root_cube)
+        if selected:
+            levels[k] = sorted(selected)
+    return levels
+
+
+def naive_sparse_select(
+    f: GridFunction,
+    family: DyadicGridFamily,
+    grid_id: int,
+    a: float | None = None,
+) -> SparseFamily:
+    """Principal cubes of f by a depth-first stack per selected cube."""
+    n = family.n
+    if a is None:
+        a = float(2 ** (n + 1))
+    if not a > 2 ** n:
+        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
+    if f.min_cell() < 0:
+        raise ValueError("sparse selection needs a non-negative function")
+    depth = f.depth
+    selected: list[DyadicCube] = []
+
+    def build(cube: DyadicCube, base_avg: float):
+        selected.append(cube)
+        if cube.level >= depth:
+            return
+        stack = list(family.children(cube))
+        while stack:
+            cand = stack.pop()
+            avg = _cube_average(f, family, cand)
+            if avg > a * base_avg:
+                build(cand, avg)
+            elif cand.level < depth and avg > 0:
+                stack.extend(family.children(cand))
+
+    for cube in family.enumerate_cubes(grid_id, 0):
+        avg = _cube_average(f, family, cube)
+        if avg > 0:
+            build(cube, avg)
+    return SparseFamily(grid_id, selected)
+
+
+def naive_certify(
+    sparse: SparseFamily, family: DyadicGridFamily, depth: int
+) -> SparseCertificate:
+    """Carriers and densities from pairwise relation() scans, O(N^2)."""
+    cubes = sparse.cubes
+    shape = (2 ** depth,) * family.n
+    masks = []
+    inside = [[] for _ in cubes]  # indices of strict descendants per cube
+    for i, c in enumerate(cubes):
+        mask = np.zeros(shape, dtype=bool)
+        mask[_cube_slices(cells_in_cube(family, c, depth))] = True
+        masks.append(mask)
+        for j, other in enumerate(cubes):
+            if other != c and family.relation(other, c) == "p_in_q":
+                inside[i].append(j)
+    carriers = {}
+    count = np.zeros(shape, dtype=np.int64)
+    min_density = math.inf
+    first_violation = None
+    for i, q in enumerate(cubes):
+        carrier = masks[i].copy()
+        descendants = inside[i]
+        for j in descendants:
+            carrier &= ~masks[j]
+        carriers[q] = carrier
+        count += carrier
+        maximal = [
+            j for j in descendants
+            if not any(
+                k != j and family.relation(cubes[j], cubes[k]) == "p_in_q"
+                for k in descendants
+            )
+        ]
+        removed = sum(family.volume_at(cubes[j].level) for j in maximal)
+        density = 1.0 - removed / family.volume_at(q.level)
+        if density < min_density:
+            min_density = density
+        if density < 0.5 and first_violation is None:
+            first_violation = q
+    disjoint = bool(np.all(count <= 1))
+    ok = disjoint and first_violation is None
+    return SparseCertificate(ok, min_density, disjoint, first_violation, carriers)

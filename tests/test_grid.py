@@ -9,6 +9,7 @@ from sparsefrac.grid import (
     DyadicGridFamily,
     GridFunction,
     RootBox,
+    range_coords,
     read_gridfunction,
     write_gridfunction,
 )
@@ -120,6 +121,29 @@ class TestGridAxioms:
             assert klo0[0] == 2 * lo[0] and khi1[0] == 2 * hi[0]
             assert khi0[0] == klo1[0]
             assert all(fam.parent(kid) == cube for kid in kids)
+
+    @pytest.mark.parametrize("origin,side", [((0.0, 0.0), 1.0), ((-0.3, 0.7), 2.5)])
+    def test_array_geometry_matches_per_cube(self, origin, side):
+        # corners are origin + side / (3 * 2^k) * float(3 m + e [+ 3]) with
+        # e = (-1)^k * shift, bit for bit; range_coords lists enumerate_cubes
+        # and child_coords lists children(), in their order
+        root = RootBox(origin, side)
+        fam = DyadicGridFamily(root, 4)
+        for gid in range(fam.num_grids):
+            for k in range(5):
+                cubes = list(fam.enumerate_cubes(gid, k))
+                coords = range_coords(fam.coord_range(gid, k))
+                assert [c.coords for c in cubes] == [tuple(m) for m in coords.tolist()]
+                e = [t if k % 2 == 0 else -t for t in fam.shift_thirds[gid]]
+                scale = side / (3 * 2 ** k)
+                lo, hi = fam.cube_corners(gid, k, coords)
+                assert lo.tolist() == [[o + scale * float(3 * m + s) for o, m, s in
+                                        zip(origin, c.coords, e)] for c in cubes]
+                assert hi.tolist() == [[o + scale * float(3 * m + s + 3) for o, m, s in
+                                        zip(origin, c.coords, e)] for c in cubes]
+                if k < 4:
+                    kids = [kid.coords for c in cubes for kid in fam.children(c)]
+                    assert [tuple(m) for m in fam.child_coords(gid, k, coords).tolist()] == kids
 
     def test_one_third_covering(self, root1):
         fam = DyadicGridFamily(root1, 10)

@@ -113,6 +113,18 @@ class TestLuxemburg:
         ref = [luxemburg_norm_arrays(v, m, LLOG) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    def test_blocks_zero_where_mass_misses_values(self, phi):
+        # row 0 has a positive value only where its mass is zero: gauge 0,
+        # as luxemburg_norm_arrays gives, and the other rows are unaffected
+        vals = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 3.0], [0.0, 0.0], [0.5, 0.0]])
+        mass = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+        got = luxemburg_norm_blocks(vals, mass, phi)
+        assert got[0] == 0.0
+        ref = [luxemburg_norm_arrays(v, m, phi) for v, m in zip(vals, mass)]
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
     def test_shifted_cube_box(self, root1):
         # a box cutting cells still gives overlap-exact samples
         f = GridFunction.constant(root1, 6, 2.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
+from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import dyadic_fractional_integral, sparse_fractional_integral
 from sparsefrac.sparse import (
     SparseFamily,
@@ -15,6 +15,7 @@ from sparsefrac.sparse import (
 )
 
 from .conftest import refine
+from .oracles import naive_certify, naive_cz_stopping, naive_sparse_select
 
 GEOM_SUM_HALF_K3 = sum(2.0 ** (-k / 2) for k in range(4))
 
@@ -166,6 +167,70 @@ class TestCertification:
     def test_mixed_grids_rejected(self):
         with pytest.raises(ValueError):
             SparseFamily(0, [DyadicCube(0, 1, (0,)), DyadicCube(1, 1, (0,))])
+
+
+def assert_same_certificate(got, ref):
+    assert (got.ok, got.min_density, got.disjoint, got.first_violation) == (
+        ref.ok, ref.min_density, ref.disjoint, ref.first_violation)
+    assert list(got.carriers) == list(ref.carriers)
+    for cube, carrier in ref.carriers.items():
+        assert np.array_equal(got.carriers[cube], carrier)
+
+
+def assert_sweeps_match_per_cube(f, fam, gid, stopping=True):
+    """The level sweeps give the per-cube oracles' results exactly."""
+    sel = sparse_select_for_operator(f, fam, gid)
+    ref = naive_sparse_select(f, fam, gid)
+    assert sel.cubes == ref.cubes
+    assert_same_certificate(certify_sparse(sel, fam, f.depth), naive_certify(ref, fam, f.depth))
+    if stopping:
+        assert cz_stopping_cubes(f, fam, gid) == naive_cz_stopping(f, fam, gid)
+    return sel
+
+
+class TestLevelSweepsMatchPerCube:
+    @pytest.mark.parametrize("gid", [0, 1])
+    def test_criterion_03_inputs(self, root1, fam8, gid):
+        # the stopping-cube oracle averages every ambient cube with one scalar
+        # call each, so it runs on every fifth seed
+        for seed in range(50):
+            f = GridFunction(root1, np.random.default_rng(seed).uniform(0.0, 1.0, 256))
+            assert_sweeps_match_per_cube(f, fam8, gid, stopping=seed % 5 == 0)
+
+    @pytest.mark.parametrize("gid", range(4))
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_random_2d(self, root2, depth, gid):
+        fam = DyadicGridFamily(root2, depth)
+        rng = np.random.default_rng(depth)
+        cells = np.exp(1.5 * rng.standard_normal((2 ** depth, 2 ** depth)))
+        cells.flat[rng.choice(cells.size, 6, replace=False)] += 4.0 ** depth
+        sel = assert_sweeps_match_per_cube(
+            GridFunction(root2, cells), fam, gid, stopping=depth == 4)
+        assert max(c.level for c in sel.cubes) == depth
+
+    def test_non_dyadic_root(self):
+        root = RootBox((-0.3,), 2.5)
+        fam = DyadicGridFamily(root, 8)
+        f = GridFunction(root, np.random.default_rng(5).lognormal(0.0, 1.5, 256))
+        for gid in (0, 1):
+            assert_sweeps_match_per_cube(f, fam, gid)
+
+    @pytest.mark.parametrize("n,depth", [(1, 6), (2, 3)])
+    def test_zero_function(self, n, depth):
+        root = RootBox((0.0,) * n, 1.0)
+        fam = DyadicGridFamily(root, depth)
+        f = GridFunction.constant(root, depth, 0.0)
+        for gid in range(fam.num_grids):
+            assert len(assert_sweeps_match_per_cube(f, fam, gid)) == 0
+
+    def test_2d_cube_outside_root_box(self, root2):
+        # The level-0 cube [1/3, 4/3) x [1, 2) of grid 1 misses the root box,
+        # yet its box integral rounds to +1.4e-20 rather than 0, so both
+        # selections keep it (ROADMAP item 4).  The sweep must not drop it.
+        fam = DyadicGridFamily(root2, 4)
+        f = GridFunction(root2, np.random.default_rng(0).uniform(0.0, 1.0, (16, 16)))
+        sel = assert_sweeps_match_per_cube(f, fam, 1)
+        assert DyadicCube(1, 0, (0, 1)) in sel.cubes
 
 
 class TestSparseDomination:

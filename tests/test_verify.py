@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
+from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import dyadic_fractional_maximal
 from sparsefrac.weights import ExponentTriple
 from sparsefrac.verify import (
@@ -28,6 +28,7 @@ from sparsefrac.verify import (
     weak_quasinorm,
     write_reports_csv,
     write_reports_json,
+    workspace,
     write_sweep_csv,
 )
 
@@ -235,6 +236,15 @@ class TestDualityCubes:
             assert rep.extra["violations"] == 0
             assert rep.extra["sparse_ok"]
             assert rep.passed
+
+    def test_full_battery_cached_on_workspace(self):
+        root = RootBox((0.0,), 1.0)
+        ws = workspace(root, 7, 4)
+        assert ws.full_battery is ws.full_battery
+        assert ws.full_battery.max_level == 7
+        assert ws.battery.max_level == 4
+        deep = workspace(root, 7, 7)
+        assert deep.full_battery is deep.battery
 
     def test_exponent_identity_all_triples(self):
         for e in (E_THIRD, ExponentTriple(1, 0.25, 3.0), ExponentTriple(2, 0.8, 2.0),

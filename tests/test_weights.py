@@ -116,6 +116,21 @@ class TestWeightedAverage:
             weighted_average(f, [0.0], [0.5], sigma)
 
 
+class TestCubeBattery:
+    @pytest.mark.parametrize("n,depth,level", [(1, 10, 10), (2, 6, 6)])
+    def test_bounds_match_cube_bounds(self, n, depth, level):
+        fam = DyadicGridFamily(RootBox((0.0,) * n, 1.0), depth)
+        bat = CubeBattery(fam, level)
+        assert bat.cubes == [c for g in range(fam.num_grids) for k in range(level + 1)
+                             for c in fam.cubes_inside_root(g, k)]
+        lo = np.array([fam.cube_bounds(c)[0] for c in bat.cubes])
+        hi = np.array([fam.cube_bounds(c)[1] for c in bat.cubes])
+        vol = np.array([fam.volume_at(c.level) for c in bat.cubes])
+        assert np.array_equal(bat._lo, lo)
+        assert np.array_equal(bat._hi, hi)
+        assert np.array_equal(bat._vol, vol)
+
+
 class TestCharacteristics:
     def test_unit_weight(self, bat6):
         e = ExponentTriple(1, 1 / 3, 2.0)
