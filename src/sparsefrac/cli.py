@@ -59,7 +59,6 @@ _COMMON = [
     click.option("--out", "out_dir", default=None, help="output directory"),
     click.option("--seed", default=None, type=int, help="random seed override"),
     click.option("--depth", default=None, type=int, help="mesh depth K override"),
-    click.option("--jobs", default=None, type=int, help="concurrent cases"),
     click.option("--format", "fmt", default=None,
                  type=click.Choice(["csv", "json"]), help="report format"),
 ]
@@ -71,7 +70,7 @@ def _common(fn):
     return _CONFIG_OPT(fn)
 
 
-def _load(config_path, out_dir, seed, depth, jobs, fmt) -> dict:
+def _load(config_path, out_dir, seed, depth, fmt) -> dict:
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
@@ -84,8 +83,6 @@ def _load(config_path, out_dir, seed, depth, jobs, fmt) -> dict:
         run["seed"] = seed
     if depth is not None:
         run["depth"] = depth
-    if jobs is not None:
-        run["jobs"] = jobs
     if fmt is not None:
         run["format"] = fmt
     return cfg
@@ -153,9 +150,9 @@ def main():
 
 @main.command()
 @_common
-def char(config_path, out_dir, seed, depth, jobs, fmt):
+def char(config_path, out_dir, seed, depth, fmt):
     """Weight characteristics over the cube battery."""
-    cfg = _load(config_path, out_dir, seed, depth, jobs, fmt)
+    cfg = _load(config_path, out_dir, seed, depth, fmt)
     root = _root(cfg)
     e = _exponents(cfg)
     run = cfg["run"]
@@ -201,9 +198,9 @@ _OPERATORS = (
 
 @main.command()
 @_common
-def op(config_path, out_dir, seed, depth, jobs, fmt):
+def op(config_path, out_dir, seed, depth, fmt):
     """Apply one operator and write the output mesh function."""
-    cfg = _load(config_path, out_dir, seed, depth, jobs, fmt)
+    cfg = _load(config_path, out_dir, seed, depth, fmt)
     root = _root(cfg)
     e = _exponents(cfg)
     run = cfg["run"]
@@ -244,9 +241,9 @@ def op(config_path, out_dir, seed, depth, jobs, fmt):
 
 @main.command()
 @_common
-def sparse(config_path, out_dir, seed, depth, jobs, fmt):
+def sparse(config_path, out_dir, seed, depth, fmt):
     """Extract the sparse family for the configured function and certify it."""
-    cfg = _load(config_path, out_dir, seed, depth, jobs, fmt)
+    cfg = _load(config_path, out_dir, seed, depth, fmt)
     root = _root(cfg)
     e = _exponents(cfg)
     run = cfg["run"]
@@ -280,9 +277,9 @@ def _theorem_exponents(theorem: str, e: ExponentTriple) -> ExponentTriple:
 
 @main.command()
 @_common
-def verify(config_path, out_dir, seed, depth, jobs, fmt):
+def verify(config_path, out_dir, seed, depth, fmt):
     """Run verification batteries; nonzero exit if any asserted case fails."""
-    cfg = _load(config_path, out_dir, seed, depth, jobs, fmt)
+    cfg = _load(config_path, out_dir, seed, depth, fmt)
     root = _root(cfg)
     e = _exponents(cfg)
     run = cfg["run"]
@@ -303,7 +300,6 @@ def verify(config_path, out_dir, seed, depth, jobs, fmt):
             battery_depth=min(run["battery_depth"], run["depth"]),
             gammas=cfg["verify"]["gammas"],
             threshold_factor=cfg["verify"]["threshold_factor"],
-            jobs=run["jobs"],
         )
         all_reports.extend(result.reports)
         click.echo(
@@ -328,9 +324,9 @@ def verify(config_path, out_dir, seed, depth, jobs, fmt):
 
 @main.command()
 @_common
-def sweep(config_path, out_dir, seed, depth, jobs, fmt):
+def sweep(config_path, out_dir, seed, depth, fmt):
     """Gamma sweeps with plot-data export and slope fits."""
-    cfg = _load(config_path, out_dir, seed, depth, jobs, fmt)
+    cfg = _load(config_path, out_dir, seed, depth, fmt)
     root = _root(cfg)
     e = _exponents(cfg)
     run = cfg["run"]
@@ -348,7 +344,6 @@ def sweep(config_path, out_dir, seed, depth, jobs, fmt):
             depth=run["depth"],
             battery_depth=min(run["battery_depth"], run["depth"]),
             gammas=cfg["sweep"]["gammas"],
-            jobs=run["jobs"],
         )
         path = out / f"sweep_{theorem}.csv"
         slope = write_sweep_csv(result, path)

@@ -22,7 +22,7 @@ _SCHEMA: dict[str, dict[str, type | tuple]] = {
         "depth": int,
         "battery_depth": int,
         "format": str,
-        "jobs": int,
+        "jobs": int,  # kept so existing configs load; cases run one at a time
         "out": str,
     },
     "domain": {
@@ -118,6 +118,8 @@ def load_config(path) -> dict:
         merged[section].update(raw.get(section, {}))
     for section in raw:
         merged.setdefault(section, dict(raw[section]))
+    if merged["run"]["jobs"] != 1:
+        raise ConfigError("key run.jobs must be 1: cases run one at a time")
     return merged
 
 

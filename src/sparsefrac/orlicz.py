@@ -76,52 +76,10 @@ def box_samples(f: GridFunction, lo, hi, sigma: GridFunction):
     return vals, mass
 
 
-def _bisect_gauge(a: np.ndarray, m: np.ndarray, phi: YoungFunction, rtol: float) -> float:
-    """Bisection on lambda for the unit-mean constraint (any Young kind)."""
-
-    def mean(lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = phi(a / lam)
-        return float(np.dot(np.where(m > 0, vals, 0.0), m))
-
-    hi = float(a.max())
-    while mean(hi) > 1.0:
-        hi *= 2.0
-    lo = hi
-    while mean(lo) <= 1.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mean(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def luxemburg_norm_arrays(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> float:
-    """Luxemburg gauge of sampled |values| against normalized masses.
-
-    Power kinds take the closed form (the gauge equals the p-average);
-    other kinds bisect on lambda until the relative bracket width is under
-    rtol, returning the upper end so the unit-mean constraint holds.  The
-    default tolerance is pinned well below the contracted 1e-10 so that
-    independent scans of the same cube land within 1e-12 of each other.
-    """
-    a = np.abs(np.asarray(values, dtype=float))
-    m = np.asarray(masses, dtype=float)
-    total = m.sum()
-    if total <= 0:
-        raise ValueError("degenerate measure")
-    m = m / total
-    peak = float(a.max(initial=0.0))
-    if peak == 0.0 or not np.any((a > 0) & (m > 0)):
-        return 0.0
-    if phi.kind == "power":
-        return float((a ** phi.exponent @ m) ** (1.0 / phi.exponent))
-    return _bisect_gauge(a, m, phi, rtol)
+    """Luxemburg gauge of one sample set: luxemburg_norm_blocks on one row."""
+    return float(luxemburg_norm_blocks(
+        np.ravel(values)[None], np.ravel(masses)[None], phi, rtol)[0])
 
 
 def luxemburg_norm(f: GridFunction, lo, hi, sigma: GridFunction,
@@ -135,51 +93,61 @@ def luxemburg_norm(f: GridFunction, lo, hi, sigma: GridFunction,
 
 def luxemburg_norm_blocks(values: np.ndarray, masses: np.ndarray,
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
-    """Vectorized Luxemburg gauge over rows: values, masses are (m, c).
+    """Luxemburg gauge of sampled |values| against normalized masses, per
+    row of the (rows, cells) arrays.
 
-    Same semantics as luxemburg_norm_arrays applied per row; used by the
-    maximal operator where every cube of a level has the same cell count.
+    Power kinds take the closed form (the gauge equals the p-average).
+    Other kinds bracket each row by doubling and halving from its peak,
+    then bisect all rows together until every relative bracket width is
+    under rtol (so a row can come out tighter than on its own, never
+    looser), and return the upper ends so the unit-mean constraint holds.
+    A row gauges 0 when no positive value carries mass or when its lower
+    bracket falls below 1e-300.  The default tolerance is pinned well
+    below the contracted 1e-10 so that independent scans of the same cube
+    land within 1e-12 of each other.  Non-finite input, a row of no mass,
+    a bracket past the float range and an rtol at the float spacing raise
+    ValueError.
     """
     a = np.abs(np.asarray(values, dtype=float))
     m = np.asarray(masses, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(m).all()):
+        raise ValueError("non-finite values or masses")
+    if not rtol > 4.0 * np.finfo(float).eps:
+        raise ValueError("rtol must exceed the float spacing")
     total = m.sum(axis=1)
     if np.any(total <= 0):
-        raise ValueError("degenerate measure in a block")
+        raise ValueError("degenerate measure")
     m = m / total[:, None]
     if phi.kind == "power":
-        return (np.einsum("ij,ij->i", a ** phi.exponent, m)) ** (1.0 / phi.exponent)
+        return np.einsum("ij,ij->i", a ** phi.exponent, m) ** (1.0 / phi.exponent)
     out = np.zeros(a.shape[0])
-    peak = a.max(axis=1)
-    live = np.any((a > 0) & (m > 0), axis=1)  # as in luxemburg_norm_arrays
+    live = np.any((a > 0) & (m > 0), axis=1)
     if not np.any(live):
         return out
-    a, m, peak = a[live], m[live], peak[live]
+    a, m = a[live], m[live]
 
     def means(lam):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = phi(a / lam[:, None])
         return np.einsum("ij,ij->i", np.where(m > 0, vals, 0.0), m)
 
-    hi = peak.copy()
-    for _ in range(200):
-        bad = means(hi) > 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
+    hi = a.max(axis=1)
+    while (up := means(hi) > 1.0).any():
+        with np.errstate(over="ignore"):
+            hi[up] *= 2.0
+    if not np.isfinite(hi).all():
+        raise ValueError("gauge bracket overflows")
     lo = hi.copy()
-    for _ in range(2000):
-        low = means(lo) <= 1.0
-        if not low.any():
-            break
-        lo[low] *= 0.5
-    for _ in range(200):
-        if np.all(hi - lo <= rtol * hi):
-            break
+    dead = np.zeros(len(a), dtype=bool)  # lower bracket under 1e-300: gauge 0
+    while (down := (means(lo) <= 1.0) & ~dead).any():
+        lo[down] *= 0.5
+        dead |= lo < 1e-300
+    while ((hi - lo > rtol * hi) & ~dead).any():
         mid = 0.5 * (lo + hi)
         ok = means(mid) <= 1.0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    out[live] = hi
+    out[live] = np.where(dead, 0.0, hi)
     return out
 
 

@@ -32,7 +32,7 @@ from .operators import (
     sparse_fractional_integral,
     weighted_orlicz_fractional_maximal,
 )
-from .orlicz import EXPM1, LLOG, POWER1, YoungFunction, box_samples, luxemburg_norm_arrays
+from .orlicz import EXPM1, LLOG, POWER1, YoungFunction, luxemburg_norm_blocks
 from .sparse import certify_sparse, sparse_select_for_operator
 from .weights import (
     CubeBattery,
@@ -481,13 +481,14 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     b = materialize_bump(case.bump or BumpSpec("step"), case.root, case.depth)
     ainf = ap_characteristic(sigma, e.r_prime, ws.battery)
     bmo = bmo_norm(b, ws.battery)
+    avg = ws.battery.averages(b)
     lhs = 0.0
-    battery = ws.battery
-    for i in range(len(battery)):
-        lo, hi = battery.bounds(i)
-        avg = b.box_integral(lo, hi) / battery.volumes()[i]
-        vals, mass = box_samples(b, lo, hi, sigma)
-        lhs = max(lhs, luxemburg_norm_arrays(vals - avg, mass, EXPM1))
+    for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
+                                             ws.battery.overlap_rows(sigma)):
+        if len(vals):  # a level with no cube inside the root box has no rows
+            mass = sig * frac * sigma.cell_volume
+            norms = luxemburg_norm_blocks(vals - avg[sl, None], mass, EXPM1)
+            lhs = max(lhs, float(norms.max()))
     rhs = ainf * bmo
     report = _base_report(
         case, ainf, lhs, rhs,
@@ -523,10 +524,8 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
         sel = blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])
         sq, norms = _orlicz_rows(f, sigma, phi, blocks, sel)
         total += float(np.dot(sq, norms)) * ws.family.side_at(k) ** e.alpha
-    sl = _cube_slices(cells_in_cube(ws.family, top, case.depth))
-    mass_top = sigma.cells[sl].ravel() * f.cell_volume
-    norm_top = luxemburg_norm_arrays(f.cells[sl].ravel(), mass_top, phi)
-    rhs = ws.family.side_at(top.level) ** e.alpha * float(mass_top.sum()) * norm_top
+        if k == top.level:  # the one row of the top cube
+            rhs = ws.family.side_at(k) ** e.alpha * float(sq[0]) * float(norms[0])
     return [_base_report(case, 1.0, total, rhs, phi=case.phi,
                          top_level=top.level)]
 
@@ -714,7 +713,6 @@ def run_battery(
     battery_depth: int = 5,
     gammas: int = 8,
     threshold_factor: float = 4.0,
-    jobs: int = 1,
 ) -> BatteryResult:
     """Run the battery and apply the calibration protocol.
 
@@ -724,14 +722,7 @@ def run_battery(
     run-to-run identical.
     """
     cases = build_battery(theorem, e, root, depth, battery_depth, gammas)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(verify_case, cases))
-    else:
-        chunks = [verify_case(c) for c in cases]
-    reports = [r for chunk in chunks for r in chunk]
+    reports = [r for c in cases for r in verify_case(c)]
     calib = [
         r.measured_constant
         for r in reports

@@ -14,7 +14,7 @@ import numpy as np
 
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
 from sparsefrac.operators import _cube_slices, cells_in_cube
-from sparsefrac.orlicz import YoungFunction, luxemburg_norm_arrays
+from sparsefrac.orlicz import EXPM1, YoungFunction
 from sparsefrac.sparse import SparseCertificate, SparseFamily
 
 
@@ -71,6 +71,48 @@ def centers_in(f: GridFunction, lo, hi):
     if f.n == 1:
         return masks[0]
     return masks[0][:, None] & masks[1][None, :]
+
+
+def _bisect_gauge(a: np.ndarray, m: np.ndarray, phi: YoungFunction, rtol: float) -> float:
+    """Bisection on lambda for the unit-mean constraint (any Young kind)."""
+
+    def mean(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = phi(a / lam)
+        return float(np.dot(np.where(m > 0, vals, 0.0), m))
+
+    hi = float(a.max())
+    while mean(hi) > 1.0:
+        hi *= 2.0
+    lo = hi
+    while mean(lo) <= 1.0:
+        lo *= 0.5
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if mean(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def naive_luxemburg(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> float:
+    """Luxemburg gauge of sampled |values| against normalized masses, one
+    scalar bisection (power kinds take the closed p-average)."""
+    a = np.abs(np.asarray(values, dtype=float))
+    m = np.asarray(masses, dtype=float)
+    total = m.sum()
+    if total <= 0:
+        raise ValueError("degenerate measure")
+    m = m / total
+    peak = float(a.max(initial=0.0))
+    if peak == 0.0 or not np.any((a > 0) & (m > 0)):
+        return 0.0
+    if phi.kind == "power":
+        return float((a ** phi.exponent @ m) ** (1.0 / phi.exponent))
+    return _bisect_gauge(a, m, phi, rtol)
 
 
 def naive_dyadic_integral(f, alpha, family, grid_id):
@@ -130,9 +172,22 @@ def naive_orlicz_maximal(f, sigma, alpha, phi: YoungFunction, family, grid_id):
             total = masses.sum()
             if total <= 0:
                 continue
-            norm = luxemburg_norm_arrays(vals, masses, phi)
+            norm = naive_luxemburg(vals, masses, phi)
             out[mask] = np.maximum(out[mask], total ** (alpha / f.n) * norm)
     return out
+
+
+def naive_wtd_bmo_lhs(b: GridFunction, sigma: GridFunction, battery) -> float:
+    """Battery max of ||b - <b>_Q||_{exp L, Q, sigma}, one cube at a time."""
+    lhs = 0.0
+    for i in range(len(battery)):
+        lo, hi = battery.bounds(i)
+        w = overlap_weights(b, lo, hi)
+        live = w > 0
+        avg = float((b.cells * w).sum()) * b.cell_volume / battery.volumes()[i]
+        masses = (sigma.cells * w)[live] * b.cell_volume
+        lhs = max(lhs, naive_luxemburg(b.cells[live] - avg, masses, EXPM1))
+    return lhs
 
 
 def naive_commutator(b, f, alpha, family, grid_id):

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from sparsefrac.cli import main
+from sparsefrac.config import ConfigError, load_config
 from sparsefrac.grid import read_gridfunction
 from sparsefrac.sparse import sparse_family_from_json
 
@@ -99,6 +100,20 @@ class TestVerify:
         result = runner.invoke(main, ["char", "--config", str(path)])
         assert result.exit_code == 2
         assert "exponents.bogus" in result.output
+
+    def test_run_jobs_must_be_one(self, runner, tmp_path):
+        # run.jobs still loads so existing configs run; cases run one at a time
+        path = tmp_path / "jobs.yaml"
+        for jobs in (1, 2, 0):
+            path.write_text(f"run:\n  jobs: {jobs}\n")
+            if jobs == 1:
+                assert load_config(path)["run"]["jobs"] == 1
+            else:
+                with pytest.raises(ConfigError, match="run.jobs"):
+                    load_config(path)
+        result = runner.invoke(main, ["char", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "run.jobs" in result.output
 
     def test_yaml_syntax_error_line_anchored(self, runner, tmp_path):
         path = tmp_path / "broken.yaml"

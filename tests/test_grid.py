@@ -158,7 +158,6 @@ class TestGridAxioms:
         assert worst <= 6.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLevelBlocks:
     @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4)])
     def test_rows_reproduce_box_overlap(self, root1, root2, dim, depth):

