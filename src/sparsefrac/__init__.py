@@ -38,7 +38,6 @@ from .operators import (
     bmo_norm,
     commutator_1d,
     dyadic_commutator,
-    dyadic_commutator_naive,
     dyadic_fractional_integral,
     dyadic_fractional_maximal,
     fractional_maximal,

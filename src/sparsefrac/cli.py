@@ -57,7 +57,7 @@ _CONFIG_OPT = click.option(
 )
 _COMMON = [
     click.option("--out", "out_dir", default=None, help="output directory"),
-    click.option("--seed", default=None, type=int, help="random seed override"),
+    click.option("--seed", default=None, type=int, help="only recorded in run_meta.json"),
     click.option("--depth", default=None, type=int, help="mesh depth K override"),
     click.option("--format", "fmt", default=None,
                  type=click.Choice(["csv", "json"]), help="report format"),

@@ -28,6 +28,7 @@ __all__ = [
     "DyadicGridFamily",
     "GridFunction",
     "LevelBlocks",
+    "cubes_by_level",
     "range_coords",
     "read_gridfunction",
     "write_gridfunction",
@@ -51,6 +52,15 @@ def range_coords(ranges) -> np.ndarray:
     in lexicographic order (the order of enumerate_cubes)."""
     axes = [np.arange(lo, hi + 1) for lo, hi in ranges]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def cubes_by_level(cubes) -> dict[tuple[int, int], np.ndarray]:
+    """Coordinates (N, n) of the cubes per (grid_id, level), in sorted key
+    order and in input order within a key (a sorted list is their concatenation)."""
+    groups: dict[tuple[int, int], list] = {}
+    for c in cubes:
+        groups.setdefault((c.grid_id, c.level), []).append(c.coords)
+    return {key: np.array(groups[key], dtype=np.int64) for key in sorted(groups)}
 
 
 @dataclass(frozen=True)
@@ -316,6 +326,8 @@ class DyadicGridFamily:
             return self._level_blocks[key]
         self._check_grid(grid_id)
         self._check_level(level)
+        if level > depth:
+            raise ValueError(f"level {level} cubes are finer than the depth-{depth} mesh")
         m = 2 ** depth
         b = 1 << (depth - level)
         h = self.root.side / m
@@ -382,6 +394,17 @@ class LevelBlocks:
     frac: tuple[np.ndarray, ...]
     row: tuple[np.ndarray, ...]
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(i) for i in self.idx)
+
+    def locate(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """Flat rows (in rows() and spread() order) of the cubes at coords (N, n)
+        that hold a cell centre, and the (N,) mask of those cubes."""
+        r = np.asarray(coords, dtype=np.int64).reshape(-1, len(self.start)) - self.start
+        inside = np.all((r >= 0) & (r < self.shape), axis=1)
+        return np.ravel_multi_index(tuple(r[inside].T), self.shape), inside
+
     def select(self, ranges) -> tuple[slice, ...]:
         """Per-axis row slices for inclusive cube-coordinate ranges [m_lo, m_hi]."""
         return tuple(slice(lo - s, hi + 1 - s) for (lo, hi), s in zip(ranges, self.start))
@@ -408,7 +431,7 @@ class LevelBlocks:
 
     def spread(self, per_cube: np.ndarray) -> np.ndarray:
         """One value per cube onto the cells whose centres the cube holds."""
-        out = per_cube.reshape([len(i) for i in self.idx])
+        out = per_cube.reshape(self.shape)
         for d, r in enumerate(self.row):
             out = out.take(r, axis=d)
         return out
@@ -417,7 +440,7 @@ class LevelBlocks:
         """A rows() array onto the cells: each cell takes its own entry in
         the row of the cube holding its centre."""
         cols = [np.arange(r.size) - i[r, 0] for i, r in zip(self.idx, self.row)]
-        a = per_entry.reshape([len(i) for i in self.idx] + [i.shape[1] for i in self.idx])
+        a = per_entry.reshape(self.shape + tuple(i.shape[1] for i in self.idx))
         return a[np.ix_(*self.row) + np.ix_(*cols)]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, LevelBlocks
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, LevelBlocks, cubes_by_level
 from .orlicz import YoungFunction, luxemburg_norm_blocks
 from .weights import CubeBattery
 
@@ -33,11 +33,9 @@ __all__ = [
     "weighted_orlicz_fractional_maximal",
     "commutator_1d",
     "dyadic_commutator",
-    "dyadic_commutator_naive",
     "bmo_norm",
     "inner_outer_split",
     "level_set_cubes",
-    "cells_in_cube",
 ]
 
 
@@ -61,21 +59,13 @@ def _size_factor(family: DyadicGridFamily, level: int, alpha: float) -> float:
     return family.side_at(level) ** alpha
 
 
-def cells_in_cube(family: DyadicGridFamily, cube: DyadicCube, depth: int):
-    """Index ranges (i0, i1) per axis of mesh cells whose centers lie in the cube."""
-    m = 2 ** depth
-    h = family.root.side / m
-    lo, hi = family.cube_bounds(cube)
-    out = []
-    for d in range(family.n):
-        i0 = math.ceil((lo[d] - family.root.origin[d]) / h - 0.5)
-        i1 = math.ceil((hi[d] - family.root.origin[d]) / h - 0.5)
-        out.append((max(i0, 0), min(i1, m)))
-    return tuple(out)
-
-
-def _cube_slices(ranges):
-    return tuple(slice(i0, i1) for i0, i1 in ranges)
+def _level_averages(
+    f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int, coords
+) -> np.ndarray:
+    """Averages of f over the level cubes at coords (N, n), in one
+    box_integrals call."""
+    lo, hi = family.cube_corners(grid_id, level, coords)
+    return f.box_integrals(lo, hi) / family.volume_at(level)
 
 
 def _level_cell_info(f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int):
@@ -109,17 +99,19 @@ def dyadic_fractional_integral(
 def sparse_fractional_integral(
     f: GridFunction, alpha: float, family: DyadicGridFamily, cubes
 ) -> OperatorOutput:
-    """Same sum restricted to an explicit cube collection (usually sparse)."""
+    """Same sum restricted to an explicit cube collection (usually sparse),
+    one box_integrals call and one spread per (grid, level); cubes holding
+    no cell centre add nothing and are not visited."""
     out = np.zeros_like(f.cells)
     visits = 0
-    for cube in cubes:
-        ranges = cells_in_cube(family, cube, f.depth)
-        if any(i0 >= i1 for i0, i1 in ranges):
-            continue
-        lo, hi = family.cube_bounds(cube)
-        avg = f.box_integral(lo, hi) / family.volume_at(cube.level)
-        out[_cube_slices(ranges)] += _size_factor(family, cube.level, alpha) * avg
-        visits += 1
+    for (g, k), coords in cubes_by_level(cubes).items():
+        blocks = family.level_blocks(g, k, f.depth)
+        rows, inside = blocks.locate(coords)
+        avg = _level_averages(f, family, g, k, coords[inside])
+        per_row = np.zeros(math.prod(blocks.shape))
+        np.add.at(per_row, rows, _size_factor(family, k, alpha) * avg)
+        out += blocks.spread(per_row)
+        visits += len(rows)
     return OperatorOutput(
         f.with_cells(out), "sparse_fractional_integral", None,
         {"alpha": alpha}, visits,
@@ -279,7 +271,6 @@ def dyadic_commutator(
     row in the level gather, so a whole level costs one block computation
     of O(cells log cells).  The y-row is every cell the cube meets; each x
     cell takes its own entry of the row of the cube holding its centre.
-    The plain loop in dyadic_commutator_naive is the normative definition.
     """
     b._same_mesh(f)
     out = np.zeros_like(f.cells)
@@ -293,36 +284,6 @@ def dyadic_commutator(
         visits += len(fv)
     return OperatorOutput(
         f.with_cells(out), "dyadic_commutator", grid_id, {"alpha": alpha}, visits
-    )
-
-
-def dyadic_commutator_naive(
-    b: GridFunction, f: GridFunction, alpha: float,
-    family: DyadicGridFamily, grid_id: int,
-) -> OperatorOutput:
-    """Reference implementation: direct absolute-difference averages per cube."""
-    b._same_mesh(f)
-    out = np.zeros_like(f.cells)
-    visits = 0
-    cellvol = f.cell_volume
-    for k in range(f.depth + 1):
-        factor = _size_factor(family, k, alpha) / family.volume_at(k)
-        for cube in family.enumerate_cubes(grid_id, k):
-            ranges = cells_in_cube(family, cube, f.depth)
-            if any(i0 >= i1 for i0, i1 in ranges):
-                continue
-            lo, hi = family.cube_bounds(cube)
-            sl, frac = f.box_overlap(lo, hi)
-            fm = (f.cells[sl] * frac).ravel() * cellvol
-            by = b.cells[sl].ravel()
-            xb = b.cells[_cube_slices(ranges)].ravel()
-            inner = np.abs(xb[:, None] - by[None, :]) @ fm
-            out[_cube_slices(ranges)] += factor * inner.reshape(
-                tuple(i1 - i0 for i0, i1 in ranges)
-            )
-            visits += 1
-    return OperatorOutput(
-        f.with_cells(out), "dyadic_commutator_naive", grid_id, {"alpha": alpha}, visits
     )
 
 
@@ -350,18 +311,17 @@ def inner_outer_split(
     the constant contribution of the strict ancestors.  On the cube,
     inner + outer recomposes the full operator.
     """
+    blocks = family.level_blocks(cube.grid_id, cube.level, f.depth)
+    rows = blocks.locate(cube.coords)[0]
+    held = blocks.spread(np.isin(np.arange(math.prod(blocks.shape)), rows))
     inner = np.zeros_like(f.cells)
-    ranges = cells_in_cube(family, cube, f.depth)
-    sl = _cube_slices(ranges)
     outer = 0.0
-    probe = sl if all(i1 > i0 for i0, i1 in ranges) else None
     for k in range(f.depth + 1):
         avg, _ = _level_cell_info(f, family, cube.grid_id, k)
         if k >= cube.level:
-            inner[sl] += _size_factor(family, k, alpha) * avg[sl]
-        elif probe is not None:
-            first = tuple(i0 for i0, _ in ranges)
-            outer += _size_factor(family, k, alpha) * float(avg[first])
+            inner[held] += _size_factor(family, k, alpha) * avg[held]
+        elif held.any():
+            outer += _size_factor(family, k, alpha) * float(avg[held][0])
     return (
         OperatorOutput(f.with_cells(inner), "inner_part", cube.grid_id,
                        {"alpha": alpha, "cube": cube}, 0),
@@ -376,29 +336,23 @@ def level_set_cubes(
 
     The union of the returned cubes' cells is exactly the thresholded mask
     {values > t}; this needs the mesh-aligned grid, where every finest
-    cube is a single cell.
+    cube is a single cell and a level-k cube is a block of the mesh.  Block
+    minima are built bottom-up by reshapes; a cube is returned, in sorted
+    order, when its minimum exceeds t and its parent's does not.
     """
     if not family.is_aligned(grid_id):
         raise ValueError("level-set decomposition needs a mesh-aligned grid")
     if t <= 0:
         raise ValueError("threshold must be positive")
+    above = [values.cells > t]
+    mins = values.cells
+    for _ in range(values.depth):
+        mins = mins.reshape([s for m in mins.shape for s in (m // 2, 2)]).min(
+            axis=tuple(range(1, 2 * values.n, 2)))
+        above.insert(0, mins > t)
     out: list[DyadicCube] = []
-
-    def recurse(cube: DyadicCube):
-        ranges = cells_in_cube(family, cube, values.depth)
-        if any(i0 >= i1 for i0, i1 in ranges):
-            return
-        vals = values.cells[_cube_slices(ranges)]
-        if float(vals.min()) > t:
-            out.append(cube)
-            return
-        if cube.level >= values.depth:
-            return
-        if float(vals.max()) <= t:
-            return
-        for child in family.children(cube):
-            recurse(child)
-
-    for cube in family.cubes_inside_root(grid_id, 0):
-        recurse(cube)
+    parent = np.zeros_like(above[0])
+    for k, mask in enumerate(above):
+        out += [DyadicCube(grid_id, k, tuple(m)) for m in np.argwhere(mask & ~parent).tolist()]
+        parent = np.kron(mask, np.ones((2,) * values.n, dtype=bool))
     return out

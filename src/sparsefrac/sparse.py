@@ -12,21 +12,23 @@ level-0 cubes: a cube is selected when its average exceeds a = 2^(n+1)
 times the average of its nearest selected ancestor, which forces the
 half-density condition by construction for every cube including the
 seeds.  Certification finds each cube's nearest selected ancestor by
-walking parent pointers, so it never compares cubes pairwise.
+walking parent pointers, so it never compares cubes pairwise, and keeps
+the carriers as one owner label per cell (-1: no carrier), made per level
+on the level_blocks rows; carrier masks are made from them on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, range_coords
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, cubes_by_level, range_coords
 from .operators import (
-    cells_in_cube,
-    _cube_slices,
+    _level_averages,
     commutator_1d,
     dyadic_commutator,
     dyadic_fractional_integral,
@@ -36,6 +38,7 @@ from .operators import (
 __all__ = [
     "SparseFamily",
     "SparseCertificate",
+    "Carriers",
     "DominationReport",
     "cz_stopping_cubes",
     "sparse_select_for_operator",
@@ -66,15 +69,44 @@ class SparseFamily:
         return iter(self.cubes)
 
 
+class Carriers(Mapping):
+    """Read-only carrier masks, made on demand from owner labels: labels[x]
+    is the index in cubes of the cube whose carrier holds cell x, -1 for no
+    carrier, and carriers[q] is labels == (index of q)."""
+
+    def __init__(self, cubes: list[DyadicCube], labels: np.ndarray):
+        self.cubes, self.labels = cubes, labels
+        self._index = {c: i for i, c in enumerate(cubes)}
+        labels.flags.writeable = False
+
+    def __getitem__(self, cube: DyadicCube) -> np.ndarray:
+        return self.labels == self._index[cube]
+
+    def __iter__(self):
+        return iter(self.cubes)
+
+    def __len__(self) -> int:
+        return len(self.cubes)
+
+    def sums(self, cells: np.ndarray) -> list[float]:
+        """cells[self[q]].sum() per cube in one pass: numpy's pairwise sum of
+        the carrier's cells in C order, a segment of a stable label sort."""
+        order = np.argsort(self.labels, axis=None, kind="stable")
+        ends = np.searchsorted(self.labels.ravel()[order], np.arange(len(self.cubes) + 1))
+        vals = cells.ravel()[order]
+        return [float(vals[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
+
+
 @dataclass
 class SparseCertificate:
-    """Outcome of the two sparseness conditions on the cell mesh."""
+    """Outcome of the two sparseness conditions on the cell mesh; from
+    certify_sparse, carriers is the lazy Carriers view of owner labels."""
 
     ok: bool
     min_density: float
     disjoint: bool
     first_violation: DyadicCube | None
-    carriers: dict
+    carriers: Mapping[DyadicCube, np.ndarray]
 
 
 @dataclass
@@ -83,15 +115,6 @@ class DominationReport:
     positivity_ok: bool
     cells_compared: int
     detail: dict = field(default_factory=dict)
-
-
-def _level_averages(
-    f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int, coords
-) -> np.ndarray:
-    """Averages of f over the level cubes at coords (N, n), in one
-    box_integrals call."""
-    lo, hi = family.cube_corners(grid_id, level, coords)
-    return f.box_integrals(lo, hi) / family.volume_at(level)
 
 
 def _check_ratio(family: DyadicGridFamily, a: float | None) -> float:
@@ -216,46 +239,45 @@ def certify_sparse(
 
     Each cube's nearest selected strict ancestor is found by walking parent
     pointers (O(N K)); the maximal selected strict descendants of q are the
-    cubes whose nearest selected ancestor is q.  Carriers are cell masks
-    (the cube's cells minus the cells of its maximal selected descendants,
-    which hold every selected descendant) and their disjointness is exact
-    cell-level set algebra.  Densities are geometric: the measure removed
-    from a cube is the total volume of its maximal selected strict
-    descendants, summed in cube order, which is exact for every grid,
-    including shifted cubes that extend past the root box where no cells
-    live.
+    cubes whose nearest selected ancestor is q.  The carriers are owner
+    labels (see Carriers): each cell takes the index of the deepest selected
+    cube holding its centre, or -1, written coarse to fine with one
+    LevelBlocks.spread per level in O(cells) memory.  Disjointness is the
+    check that every cell a cube takes over was held by the cube's nearest
+    selected ancestor.  Densities are geometric: the measure removed from a
+    cube is the total volume of its maximal selected strict descendants,
+    summed in cube order, which is exact for every grid, including shifted
+    cubes that extend past the root box where no cells live.
     """
     cubes = sparse.cubes
     index = {c: i for i, c in enumerate(cubes)}
+    nearest = np.full(len(cubes), -1, dtype=np.int64)
     maximal = [[] for _ in cubes]  # per cube, its maximal selected strict descendants
     for j, c in enumerate(cubes):
         while c.level > 0:
             c = family.parent(c)
             if c in index:
+                nearest[j] = index[c]
                 maximal[index[c]].append(j)
                 break
-    shape = (2 ** depth,) * family.n
-    cells = [_cube_slices(cells_in_cube(family, c, depth)) for c in cubes]
-    carriers = {}
-    count = np.zeros(shape, dtype=np.int64)
-    min_density = math.inf
-    first_violation = None
-    for i, q in enumerate(cubes):
-        carrier = np.zeros(shape, dtype=bool)
-        carrier[cells[i]] = True
-        for j in maximal[i]:
-            carrier[cells[j]] = False
-        carriers[q] = carrier
-        count += carrier
-        removed = sum(family.volume_at(cubes[j].level) for j in maximal[i])
-        density = 1.0 - removed / family.volume_at(q.level)
-        if density < min_density:
-            min_density = density
-        if density < 0.5 and first_violation is None:
-            first_violation = q
-    disjoint = bool(np.all(count <= 1))
+    labels = np.full((2 ** depth,) * family.n, -1, dtype=np.int64)
+    disjoint, first = True, 0
+    for (g, k), coords in cubes_by_level(cubes).items():
+        blocks = family.level_blocks(g, k, depth)
+        rows, inside = blocks.locate(coords)
+        owner = np.full(math.prod(blocks.shape), -1, dtype=np.int64)
+        owner[rows] = first + np.flatnonzero(inside)
+        owner = blocks.spread(owner)
+        held = owner >= 0
+        disjoint &= bool(np.array_equal(labels[held], nearest[owner[held]]))
+        labels[held] = owner[held]
+        first += len(coords)
+    density = [1.0 - sum(family.volume_at(cubes[j].level) for j in maximal[i])
+               / family.volume_at(q.level) for i, q in enumerate(cubes)]
+    min_density = min(density, default=math.inf)
+    first_violation = next((q for q, d in zip(cubes, density) if d < 0.5), None)
     ok = disjoint and first_violation is None
-    return SparseCertificate(ok, min_density, disjoint, first_violation, carriers)
+    return SparseCertificate(ok, min_density, disjoint, first_violation, Carriers(cubes, labels))
 
 
 def verify_sparse_domination(

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cubes_by_level
 from .operators import (
     bmo_norm,
-    cells_in_cube,
-    _cube_slices,
     _orlicz_rows,
     dyadic_commutator,
     dyadic_fractional_integral,
@@ -537,7 +535,8 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     most the characteristic times sigma(Q)^(1/p) v(Q)^(1/p'); it is exact
     for battery cubes because 1 - alpha/n = 1/p' + 1/q.  Second: passing
     to the carriers costs the subset bounds for sigma and v plus the
-    half-density, so the testable constant is 2^(r'/p + r/p').
+    half-density, so the testable constant is 2^(r'/p + r/p').  Carrier
+    masses are sums over segments of the certificate's owner labels.
     """
     e = case.e
     if e.p <= 1:
@@ -554,14 +553,15 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     worst1 = worst2 = 0.0
     violations = 0
     cellvol = f.cell_volume
-    for cube in sparse.cubes:
-        lo, hi = ws.family.cube_bounds(cube)
+    sigma_q, v_q = [], []
+    for (g, k), coords in cubes_by_level(sparse.cubes).items():
+        lo, hi = ws.family.cube_corners(g, k, coords)
+        sigma_q += sigma.box_integrals(lo, hi).tolist()
+        v_q += v.box_integrals(lo, hi).tolist()
+    sigma_e, v_e = cert.carriers.sums(sigma.cells), cert.carriers.sums(v.cells)
+    for cube, sq, vq, se, ve in zip(sparse.cubes, sigma_q, v_q, sigma_e, v_e):
         vol = ws.family.volume_at(cube.level)
-        sq = sigma.box_integral(lo, hi)
-        vq = v.box_integral(lo, hi)
-        carrier = cert.carriers[cube]
-        se = float(sigma.cells[carrier].sum()) * cellvol
-        ve = float(v.cells[carrier].sum()) * cellvol
+        se, ve = se * cellvol, ve * cellvol
         lhs1 = vol ** (e.alpha / e.n - 1.0) * sq * vq ** (1.0 - e.alpha / e.n)
         mid = char * sq ** (1.0 / e.p) * vq ** (1.0 / e.p_prime)
         rhs2 = density_const * char ** e.strong_power \
@@ -600,8 +600,9 @@ def large_small_partition(case: TestCase, t: float) -> PartitionDiagnostic:
     cut = 2.0 ** (-e.q - 1.0)
     large, small = [], []
     large_mass = small_mass = 0.0
-    for cube in cubes:
-        sl = _cube_slices(cells_in_cube(ws.family, cube, case.depth))
+    for cube in cubes:  # aligned: a level-k cube is a block of 2^(K-k) cells per axis
+        b = 1 << (case.depth - cube.level)
+        sl = tuple(slice(m * b, (m + 1) * b) for m in cube.coords)
         vq = float(vmass[sl].sum())
         v2 = float(vmass[sl][mask_2t[sl]].sum())
         if v2 >= cut * vq:

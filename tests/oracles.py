@@ -3,9 +3,11 @@
 Everything here works from first principles: per-cell overlap fractions
 computed with min/max, plain loops over cubes, no cumulative tables and
 no vectorized block tricks, so these stay independent of the accelerated
-paths they check.  The per-cube sparse machinery at the end is the one
-exception: it averages with the library's scalar box_integral, so the
-level sweeps it checks must reproduce it bit for bit.
+paths they check.  The exceptions are the library's former per-cube
+paths, dyadic_commutator_naive and the sparse machinery at the end: they
+find a cube's cells with cells_in_cube and average with box_overlap or the
+scalar box_integral, so the level sweeps they check must reproduce the
+sparse ones bit for bit.
 """
 
 import math
@@ -13,9 +15,11 @@ import math
 import numpy as np
 
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
-from sparsefrac.operators import _cube_slices, cells_in_cube
+from sparsefrac.operators import OperatorOutput
 from sparsefrac.orlicz import EXPM1, YoungFunction
-from sparsefrac.sparse import SparseCertificate, SparseFamily
+from sparsefrac.sparse import SparseCertificate, SparseFamily, sparse_select_for_operator
+from sparsefrac.verify import _case_function, _case_weight, workspace
+from sparsefrac.weights import apq_characteristic
 
 
 def cell_bounds(f: GridFunction, index):
@@ -63,6 +67,24 @@ def naive_box_integral(f: GridFunction, lo, hi) -> float:
 def naive_cube_average(f: GridFunction, family: DyadicGridFamily, cube) -> float:
     lo, hi = family.cube_bounds(cube)
     return naive_box_integral(f, lo, hi) / family.volume_at(cube.level)
+
+
+def cells_in_cube(family: DyadicGridFamily, cube: DyadicCube, depth: int):
+    """Index ranges (i0, i1) per axis of mesh cells whose centers lie in the
+    cube, from its float corners (the library reads LevelBlocks rows)."""
+    m = 2 ** depth
+    h = family.root.side / m
+    lo, hi = family.cube_bounds(cube)
+    out = []
+    for d in range(family.n):
+        i0 = math.ceil((lo[d] - family.root.origin[d]) / h - 0.5)
+        i1 = math.ceil((hi[d] - family.root.origin[d]) / h - 0.5)
+        out.append((max(i0, 0), min(i1, m)))
+    return tuple(out)
+
+
+def _cube_slices(ranges):
+    return tuple(slice(i0, i1) for i0, i1 in ranges)
 
 
 def centers_in(f: GridFunction, lo, hi):
@@ -210,6 +232,37 @@ def naive_commutator(b, f, alpha, family, grid_id):
     return out
 
 
+def dyadic_commutator_naive(
+    b: GridFunction, f: GridFunction, alpha: float,
+    family: DyadicGridFamily, grid_id: int,
+) -> OperatorOutput:
+    """The dyadic commutator one cube at a time: cells_in_cube, box_overlap
+    and a dense |b(x) - b(y)| matrix per cube."""
+    b._same_mesh(f)
+    out = np.zeros_like(f.cells)
+    visits = 0
+    cellvol = f.cell_volume
+    for k in range(f.depth + 1):
+        factor = family.side_at(k) ** alpha / family.volume_at(k)
+        for cube in family.enumerate_cubes(grid_id, k):
+            ranges = cells_in_cube(family, cube, f.depth)
+            if any(i0 >= i1 for i0, i1 in ranges):
+                continue
+            lo, hi = family.cube_bounds(cube)
+            sl, frac = f.box_overlap(lo, hi)
+            fm = (f.cells[sl] * frac).ravel() * cellvol
+            by = b.cells[sl].ravel()
+            xb = b.cells[_cube_slices(ranges)].ravel()
+            inner = np.abs(xb[:, None] - by[None, :]) @ fm
+            out[_cube_slices(ranges)] += factor * inner.reshape(
+                tuple(i1 - i0 for i0, i1 in ranges)
+            )
+            visits += 1
+    return OperatorOutput(
+        f.with_cells(out), "dyadic_commutator_naive", grid_id, {"alpha": alpha}, visits
+    )
+
+
 def naive_weak_quasinorm(values, density: GridFunction, q: float) -> float:
     """Histogram-style scan over every distinct output level."""
     mass = (density.cells * density.cell_volume).ravel()
@@ -224,9 +277,10 @@ def naive_weak_quasinorm(values, density: GridFunction, q: float) -> float:
 
 # -- per-cube sparse machinery -------------------------------------------------
 #
-# The cube-by-cube stopping times and certification that the level sweeps in
-# sparsefrac.sparse replace.  They average with the same scalar box_integral
-# and sum volumes in the same order, so the sweeps must match them exactly.
+# The cube-by-cube stopping times, certification, sparse integral, level sets
+# and duality loop that the level sweeps replace.  They average with the same
+# scalar box_integral, find cells with cells_in_cube and sum in the same
+# order, so the sweeps must match them exactly.
 
 
 def _cube_average(f: GridFunction, family: DyadicGridFamily, cube: DyadicCube) -> float:
@@ -318,6 +372,25 @@ def naive_sparse_select(
     return SparseFamily(grid_id, selected)
 
 
+def naive_carrier(
+    sparse: SparseFamily, family: DyadicGridFamily, depth: int, q: DyadicCube
+) -> np.ndarray:
+    """The carrier of q by definition: the cells whose centres q holds minus
+    those of every selected cube strictly inside q, found by relation()."""
+    shape = (2 ** depth,) * family.n
+
+    def cells(c):
+        mask = np.zeros(shape, dtype=bool)
+        mask[_cube_slices(cells_in_cube(family, c, depth))] = True
+        return mask
+
+    carrier = cells(q)
+    for p in sparse.cubes:
+        if p != q and family.relation(p, q) == "p_in_q":
+            carrier &= ~cells(p)
+    return carrier
+
+
 def naive_certify(
     sparse: SparseFamily, family: DyadicGridFamily, depth: int
 ) -> SparseCertificate:
@@ -360,3 +433,81 @@ def naive_certify(
     disjoint = bool(np.all(count <= 1))
     ok = disjoint and first_violation is None
     return SparseCertificate(ok, min_density, disjoint, first_violation, carriers)
+
+
+def percube_sparse_integral(f, alpha, family, cubes):
+    """The sparse fractional integral one cube at a time: cells_in_cube and a
+    scalar box_integral per cube, summed in the given order."""
+    out = np.zeros_like(f.cells)
+    visits = 0
+    for cube in cubes:
+        ranges = cells_in_cube(family, cube, f.depth)
+        if any(i0 >= i1 for i0, i1 in ranges):
+            continue
+        lo, hi = family.cube_bounds(cube)
+        avg = f.box_integral(lo, hi) / family.volume_at(cube.level)
+        out[_cube_slices(ranges)] += family.side_at(cube.level) ** alpha * avg
+        visits += 1
+    return out, visits
+
+
+def naive_level_set_cubes(values: GridFunction, t: float, family, grid_id: int):
+    """Maximal aligned cubes with every cell above t, by a depth-first
+    recursion from the level-0 cubes inside the root box."""
+    out = []
+
+    def recurse(cube: DyadicCube):
+        ranges = cells_in_cube(family, cube, values.depth)
+        if any(i0 >= i1 for i0, i1 in ranges):
+            return
+        vals = values.cells[_cube_slices(ranges)]
+        if float(vals.min()) > t:
+            out.append(cube)
+            return
+        if cube.level >= values.depth:
+            return
+        if float(vals.max()) <= t:
+            return
+        for child in family.children(cube):
+            recurse(child)
+
+    for cube in family.cubes_inside_root(grid_id, 0):
+        recurse(cube)
+    return out
+
+
+def naive_duality_ratios(case) -> dict:
+    """verify_duality_cube_estimate's per-cube loop: scalar box_integral
+    for sigma(Q) and v(Q), masked carrier sums from naive_certify."""
+    e = case.e
+    ws = workspace(case.root, case.depth, case.battery_depth)
+    w = _case_weight(case)
+    f = _case_function(case)
+    sigma, v = w.sigma(e), w.v(e)
+    char = apq_characteristic(w, e, ws.full_battery)
+    sparse = sparse_select_for_operator(f, ws.family, 0)
+    cert = naive_certify(sparse, ws.family, case.depth)
+    density_const = 2.0 ** (e.r_prime / e.p + e.r / e.p_prime)
+    tol = 1e-9
+    worst1 = worst2 = 0.0
+    violations = 0
+    cellvol = f.cell_volume
+    for cube in sparse.cubes:
+        lo, hi = ws.family.cube_bounds(cube)
+        vol = ws.family.volume_at(cube.level)
+        sq = sigma.box_integral(lo, hi)
+        vq = v.box_integral(lo, hi)
+        carrier = cert.carriers[cube]
+        se = float(sigma.cells[carrier].sum()) * cellvol
+        ve = float(v.cells[carrier].sum()) * cellvol
+        lhs1 = vol ** (e.alpha / e.n - 1.0) * sq * vq ** (1.0 - e.alpha / e.n)
+        mid = char * sq ** (1.0 / e.p) * vq ** (1.0 / e.p_prime)
+        rhs2 = density_const * char ** e.strong_power \
+            * se ** (1.0 / e.p) * ve ** (1.0 / e.p_prime)
+        if lhs1 > mid * (1.0 + tol) or mid > rhs2 * (1.0 + tol):
+            violations += 1
+        worst1 = max(worst1, lhs1 / mid if mid > 0 else math.inf)
+        worst2 = max(worst2, mid / rhs2 if rhs2 > 0 else math.inf)
+    return {"violations": violations, "worst_first_ratio": worst1,
+            "worst_second_ratio": worst2, "measured_constant": max(worst1, worst2),
+            "family_size": len(sparse)}

@@ -19,9 +19,7 @@ from sparsefrac.grid import (
     write_gridfunction,
 )
 from sparsefrac.operators import (
-    cells_in_cube,
     dyadic_commutator,
-    dyadic_commutator_naive,
     dyadic_fractional_integral,
     inner_outer_split,
     level_set_cubes,
@@ -68,6 +66,7 @@ from sparsefrac.weights import (
 
 from .conftest import refine
 from .oracles import (
+    cells_in_cube,
     naive_commutator,
     naive_dyadic_integral,
     naive_orlicz_maximal,

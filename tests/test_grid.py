@@ -14,9 +14,7 @@ from sparsefrac.grid import (
     write_gridfunction,
 )
 
-from sparsefrac.operators import cells_in_cube
-
-from .oracles import naive_box_integral, naive_cube_average
+from .oracles import cells_in_cube, naive_box_integral, naive_cube_average
 
 
 def test_root_box_validation():
@@ -183,6 +181,19 @@ class TestLevelBlocks:
                     for d in range(dim):
                         held = np.flatnonzero(blocks.row[d] == r[d])
                         assert np.array_equal(held, np.arange(*ranges[d]))
+                    flat = np.ravel_multi_index(r, blocks.shape)
+                    assert blocks.locate(coords)[0].tolist() == [flat]
+                # cubes just past the rows hold no cell centre
+                for d in range(dim):
+                    for c in (blocks.start[d] - 1, blocks.start[d] + blocks.shape[d]):
+                        coords = tuple(c if e == d else s for e, s in enumerate(blocks.start))
+                        assert not blocks.locate(coords)[1].any()
+                        i0, i1 = cells_in_cube(fam, DyadicCube(gid, k, coords), depth)[d]
+                        assert i0 >= i1
+
+    def test_rejects_levels_finer_than_the_mesh(self, root1):
+        with pytest.raises(ValueError, match="finer"):
+            DyadicGridFamily(root1, 6).level_blocks(0, 5, 4)
 
 
 class TestContainingCube:

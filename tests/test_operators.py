@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
+from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import (
     bmo_norm,
-    cells_in_cube,
     commutator_1d,
     dyadic_commutator,
-    dyadic_commutator_naive,
     dyadic_fractional_integral,
     dyadic_fractional_maximal,
     fractional_maximal,
@@ -25,9 +23,12 @@ from sparsefrac.weights import CubeBattery
 
 from .conftest import refine
 from .oracles import (
+    cells_in_cube,
+    dyadic_commutator_naive,
     naive_commutator,
     naive_dyadic_integral,
     naive_dyadic_maximal,
+    naive_level_set_cubes,
     naive_orlicz_maximal,
     naive_sparse_integral,
     overlap_weights,
@@ -396,6 +397,21 @@ class TestLevelSets:
                 (i0, i1), = cells_in_cube(fam, cube, 7)
                 mask = out.cells[i0:i1] > 2 * t
                 assert np.all(inner.cells[i0:i1][mask] > t)
+
+    @pytest.mark.parametrize("root,depth", [
+        (RootBox((0.0,), 1.0), 8), (RootBox((-0.3,), 2.5), 7),
+        (RootBox((0.0, 0.0), 1.0), 5), (RootBox((0.2, -1.0), 1.5), 4)])
+    def test_matches_recursion(self, root, depth):
+        # the per-level minima give the recursion's cubes, in sorted order
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(depth)
+        f = GridFunction(root, rng.lognormal(0.0, 1.0, (2 ** depth,) * root.n))
+        out = dyadic_fractional_integral(f, 0.5, fam, 0)
+        for pct in (5, 30, 60, 90, 99):
+            t = float(np.percentile(out.cells, pct))
+            got = level_set_cubes(out.values, t, fam, 0)
+            assert got == sorted(naive_level_set_cubes(out.values, t, fam, 0))
+            assert len(got) > 0
 
     def test_shifted_grid_rejected(self, root1):
         fam = DyadicGridFamily(root1, 6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from sparsefrac.sparse import (
 )
 
 from .conftest import refine
-from .oracles import naive_certify, naive_cz_stopping, naive_sparse_select
+from .oracles import (
+    naive_carrier,
+    naive_certify,
+    naive_cz_stopping,
+    naive_sparse_select,
+    percube_sparse_integral,
+)
 
 GEOM_SUM_HALF_K3 = sum(2.0 ** (-k / 2) for k in range(4))
 
@@ -164,6 +172,17 @@ class TestCertification:
             total += mask
         assert np.all(total <= 1)
 
+    def test_tree_and_mesh_disagreeing_is_not_disjoint(self, root1, monkeypatch):
+        # parent pointers that skip level 1 make the level-0 cube the nearest
+        # selected ancestor of the level-2 cube, whose cells the level-1 cube
+        # holds: they would sit in two carriers
+        fam = DyadicGridFamily(root1, 4)
+        chain = SparseFamily(0, [DyadicCube(0, k, (0,)) for k in range(3)])
+        assert certify_sparse(chain, fam, 4).disjoint
+        monkeypatch.setattr(fam, "parent", lambda c: DyadicCube(0, 0, (0,)))
+        cert = certify_sparse(chain, fam, 4)
+        assert not cert.disjoint and not cert.ok
+
     def test_mixed_grids_rejected(self):
         with pytest.raises(ValueError):
             SparseFamily(0, [DyadicCube(0, 1, (0,)), DyadicCube(1, 1, (0,))])
@@ -185,6 +204,10 @@ def assert_sweeps_match_per_cube(f, fam, gid, stopping=True):
     assert_same_certificate(certify_sparse(sel, fam, f.depth), naive_certify(ref, fam, f.depth))
     if stopping:
         assert cz_stopping_cubes(f, fam, gid) == naive_cz_stopping(f, fam, gid)
+    out = sparse_fractional_integral(f, 0.5, fam, sel.cubes)
+    cells, visits = percube_sparse_integral(f, 0.5, fam, ref.cubes)
+    assert np.array_equal(out.cells, cells)
+    assert out.cube_visits == visits
     return sel
 
 
@@ -231,6 +254,31 @@ class TestLevelSweepsMatchPerCube:
         f = GridFunction(root2, np.random.default_rng(0).uniform(0.0, 1.0, (16, 16)))
         sel = assert_sweeps_match_per_cube(f, fam, 1)
         assert DyadicCube(1, 0, (0, 1)) in sel.cubes
+
+
+class TestCertificateMemory:
+    def test_labels_not_masks(self, root2):
+        # (2, 8): a heavy-tailed background plus 40 point masses gives grid 1
+        # a family of over 800 cubes; one full-mesh mask per cube took 53 MiB
+        rng = np.random.default_rng(0)
+        cells = rng.lognormal(0.0, 2.5, (256, 256))
+        cells.flat[rng.choice(cells.size, 40, replace=False)] += 4.0 ** 8
+        fam = DyadicGridFamily(root2, 8)
+        sel = sparse_select_for_operator(GridFunction(root2, cells), fam, 1)
+        assert len(sel) >= 800
+        tracemalloc.start()
+        try:
+            cert = certify_sparse(sel, fam, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert cert.ok
+        assert list(cert.carriers) == sorted(sel.cubes)
+        for q in sel.cubes[::40]:
+            assert np.array_equal(cert.carriers[q], naive_carrier(sel, fam, 8, q))
+        with pytest.raises(TypeError):
+            cert.carriers[sel.cubes[0]] = cert.carriers[sel.cubes[0]]
 
 
 class TestSparseDomination:

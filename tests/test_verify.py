@@ -18,6 +18,7 @@ from sparsefrac.verify import (
     materialize_weight,
     run_battery,
     stability_pair,
+    standard_function_specs,
     sweep_slope,
     verify_case,
     verify_commutator_strong,
@@ -34,7 +35,7 @@ from sparsefrac.verify import (
     write_sweep_csv,
 )
 
-from .oracles import naive_weak_quasinorm, naive_wtd_bmo_lhs
+from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_lhs
 
 E_THIRD = ExponentTriple(1, 1.0 / 3.0, 2.0)
 E_HALF_P1 = ExponentTriple(1, 0.5, 1.0)
@@ -254,6 +255,24 @@ class TestDualityCubes:
             assert rep.extra["violations"] == 0
             assert rep.extra["sparse_ok"]
             assert rep.passed
+
+    @pytest.mark.parametrize("e,depth,gamma", [
+        (E_THIRD, 8, 0.45), (ExponentTriple(2, 0.8, 2.0), 5, 0.5)])
+    @pytest.mark.parametrize("kind", ["probe", "spike"])
+    def test_matches_per_cube_loop(self, e, depth, gamma, kind):
+        # the power weight and both inputs select nested chains of cubes
+        root = RootBox((0.0,) * e.n, 1.0)
+        func = next(s for s in standard_function_specs(root) if s.name == kind)
+        case = TestCase("duality-chain", "duality_cubes", e,
+                        WeightSpec("power", gamma, "third"), func,
+                        depth=depth, battery_depth=4, root=root)
+        rep = verify_duality_cube_estimate(case)[0]
+        ref = naive_duality_ratios(case)
+        assert ref["family_size"] >= 3
+        got = {key: rep.extra[key] for key in
+               ("violations", "worst_first_ratio", "worst_second_ratio", "family_size")}
+        got["measured_constant"] = rep.measured_constant
+        assert got == ref
 
     def test_full_battery_cached_on_workspace(self):
         root = RootBox((0.0,), 1.0)
