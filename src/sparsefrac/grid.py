@@ -82,20 +82,12 @@ class RootBox:
         return len(self.origin)
 
     @property
-    def volume(self) -> float:
-        return self.side ** self.n
-
-    @property
     def lo(self) -> np.ndarray:
         return np.asarray(self.origin, dtype=float)
 
     @property
     def hi(self) -> np.ndarray:
         return self.lo + self.side
-
-    def contains(self, x: Sequence[float]) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x < self.hi))
 
 
 @dataclass(frozen=True, order=True)
@@ -524,10 +516,6 @@ class GridFunction:
         return self.root.n
 
     @property
-    def num_cells(self) -> int:
-        return self.cells.size
-
-    @property
     def cell_side(self) -> float:
         return self.root.side / 2 ** self.depth
 
@@ -541,11 +529,6 @@ class GridFunction:
             self.root.origin[d] + (np.arange(m) + 0.5) * self.root.side / m
             for d in range(self.n)
         ]
-
-    def cell_bounds(self, index: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        h = self.cell_side
-        lo = self.root.lo + h * np.asarray(index, dtype=float)
-        return lo, lo + h
 
     def integral(self) -> float:
         return float(self._cum.flat[-1] * self.cell_volume)

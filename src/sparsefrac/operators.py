@@ -151,18 +151,28 @@ def fractional_maximal(
 
 
 def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
-                 blocks: LevelBlocks, sel=None):
-    """sigma(Q) and ||f||_{Phi,Q,sigma} for the cubes of a level gather.
+                 gathers: list[tuple[LevelBlocks, tuple[slice, ...] | None]],
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """sigma(Q) and ||f||_{Phi,Q,sigma} for the cubes of each (blocks,
+    sel) level gather.
 
-    Zero-mass cubes get norm 0; the rest share one luxemburg_norm_blocks
-    call, whose bisection runs until every row it is given converges."""
-    vals, frac = blocks.rows(f.cells, sel)
-    mass = blocks.rows(sigma.cells, sel)[0] * frac * f.cell_volume
-    sq = mass.sum(axis=1)
-    live = sq > 0
-    norms = np.zeros_like(sq)
-    norms[live] = luxemburg_norm_blocks(vals[live], mass[live], phi)
-    return sq, norms
+    Zero-mass cubes get norm 0; the rest of every gather share one
+    luxemburg_norm_blocks call, one block per gather."""
+    sqs, parts = [], []
+    for blocks, sel in gathers:
+        vals, frac = blocks.rows(f.cells, sel)
+        mass = blocks.rows(sigma.cells, sel)[0] * frac * f.cell_volume
+        sq = mass.sum(axis=1)
+        live = sq > 0
+        sqs.append(sq)
+        parts.append((vals[live], mass[live]))
+    flat = luxemburg_norm_blocks(parts, phi)
+    out = []
+    for sq, got in zip(sqs, np.split(flat, np.cumsum([len(v) for v, _ in parts])[:-1])):
+        norms = np.zeros_like(sq)
+        norms[sq > 0] = got
+        out.append((sq, norms))
+    return out
 
 
 def weighted_orlicz_fractional_maximal(
@@ -181,9 +191,9 @@ def weighted_orlicz_fractional_maximal(
     f._same_mesh(sigma)
     out = np.zeros_like(f.cells)
     visits = 0
-    for k in range(f.depth + 1):
-        blocks = family.level_blocks(grid_id, k, f.depth)
-        sq, norms = _orlicz_rows(f, sigma, phi, blocks)
+    levels = [family.level_blocks(grid_id, k, f.depth) for k in range(f.depth + 1)]
+    rows = _orlicz_rows(f, sigma, phi, [(blocks, None) for blocks in levels])
+    for blocks, (sq, norms) in zip(levels, rows):
         np.maximum(out, blocks.spread(sq ** (alpha / f.n) * norms), out=out)
         visits += int(np.count_nonzero(sq > 0))
     return OperatorOutput(

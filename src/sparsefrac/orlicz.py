@@ -6,12 +6,20 @@ commutator machinery is fixed once and for all: Phi(t) = t log(e + t) and
 its associate, pinned to exactly exp(t) - 1 (the associate is only
 canonical up to equivalence; fixing it keeps every measured constant
 deterministic).
+
+The Luxemburg gauge is a bisection on lambda for the unit-mean
+constraint, run once over blocks of rows (one block per cube level) with
+each block keeping its own stop rule.  A root located per row by Newton
+decides every bisection test whose lambda lies outside a derived error
+band, so only tests inside the band evaluate Phi, and every value is the
+one bisecting that block on its own gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +40,13 @@ __all__ = [
 ]
 
 _EXP_GUARD = 700.0
+_EPS = float(np.finfo(float).eps)
+# Phi^-1(1) of the bisected kinds: t log(e + t) = 1 and exp(t) - 1 = 1
+_PHI_INV_ONE = {"llog": 0.7957028110823631, "expm1": math.log(2.0)}
+# largest t at the root for which a band is trusted: half the expm1
+# guard, and far below where t log(e + t) overflows
+_T_SURE = {"llog": 1e300, "expm1": 0.5 * _EXP_GUARD}
+_NEWTON_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,7 @@ def box_samples(f: GridFunction, lo, hi, sigma: GridFunction):
 def luxemburg_norm_arrays(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> float:
     """Luxemburg gauge of one sample set: luxemburg_norm_blocks on one row."""
     return float(luxemburg_norm_blocks(
-        np.ravel(values)[None], np.ravel(masses)[None], phi, rtol)[0])
+        [(np.ravel(values)[None], np.ravel(masses)[None])], phi, rtol)[0])
 
 
 def luxemburg_norm(f: GridFunction, lo, hi, sigma: GridFunction,
@@ -91,63 +106,185 @@ def luxemburg_norm(f: GridFunction, lo, hi, sigma: GridFunction,
     return luxemburg_norm_arrays(values, masses, phi, rtol)
 
 
-def luxemburg_norm_blocks(values: np.ndarray, masses: np.ndarray,
+def _phi_means(a: np.ndarray, m: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.ndarray:
+    """Mean of Phi(a / lam) against m per row: the bisection's test is
+    that this is at most 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = phi(a / lam[:, None])
+    return np.einsum("ij,ij->i", np.where(m > 0, vals, 0.0), m)
+
+
+def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
+                  phi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(bottom, top) per row: every lam above top passes the bisection's
+    test and every lam below bottom fails it.
+
+    a, m hold the cells with positive value and normalized mass, row
+    their row numbers (sorted, every row present).  Newton in s = 1/lam
+    on the convex increasing G(s) = sum m Phi(a s) starts where G >= 1,
+    at the larger of two lower bounds on lam: Jensen's sum(m a)/Phi^-1(1)
+    and the one-cell max(a m) (llog) or max(a / log1p(1/m)) (expm1).
+    From there it falls monotonically onto the root r.  One float
+    evaluation of G, a sum of c positive terms each off by its own
+    rounding times Phi's elasticity el (2 for llog, 1 + max t for
+    expm1), errs by at most noise = (c + 8 + 4 el) eps relative, so a row
+    stops once |G - 1| <= max(1e-14, noise).  Convexity with G(0) = 0
+    gives |s - r|/r <= |G(s) - 1|, and the float test can disagree with
+    the exact one only within noise of the root: outside a relative band
+    of 4 noise + 2 |G - 1| around lam = 1/s its outcome is lam > 1/s.
+    A row gets an infinite band when Newton does not settle within
+    _NEWTON_CAP steps or G leaves the float range, when its root is under
+    1e-290 (near the 1e-300 floor) and when Phi nears its float limits at
+    the root (half the expm1 guard, llog overflow).
+    """
+    c = np.bincount(row, minlength=nrows)
+    starts = np.cumsum(c) - c
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        one = m * a if phi.kind == "llog" else a / np.log1p(1.0 / m)  # per-cell bound
+        s = 1.0 / np.maximum(np.bincount(row, m * a, nrows) / _PHI_INV_ONE[phi.kind],
+                             np.maximum.reduceat(one, starts))
+        del one  # the batch holds every level's cells: keep few of their arrays alive
+        for _ in range(_NEWTON_CAP):
+            t = s[row]
+            t *= a
+            tmax = np.maximum.reduceat(t, starts)
+            if phi.kind == "llog":  # in place, for the same reason
+                dg = math.e + t
+                g = np.log(dg)
+                dg = np.divide(t, dg, out=dg)
+                dg += g  # Phi'(t) = log(e + t) + t/(e + t)
+                g *= t
+                elastic = 2.0
+            else:
+                g = np.expm1(t)
+                dg, elastic = g + 1.0, 1.0 + tmax
+            noise = (c + 8.0 + 4.0 * elastic) * _EPS
+            gap = np.bincount(row, np.multiply(m, g, out=g), nrows) - 1.0
+            settled = np.abs(gap) <= np.maximum(1e-14, noise)
+            done = settled | ~np.isfinite(gap)  # G past the float range stays there
+            if done.all():
+                break
+            dg *= m
+            dg *= a
+            s = np.where(done, s, s - gap / np.bincount(row, dg, nrows))
+        root = 1.0 / s
+        sure = settled & (root >= 1e-290) & (tmax <= _T_SURE[phi.kind])
+        band = np.where(sure, (4.0 * noise + 2.0 * np.abs(gap)) * root, np.inf)
+        return root - band, root + band
+
+
+def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
-    """Luxemburg gauge of sampled |values| against normalized masses, per
-    row of the (rows, cells) arrays.
+    """Luxemburg gauge of sampled |values| against normalized masses for
+    a sequence of (values, masses) blocks of shape (rows_i, cells_i): one
+    value per row, block after block.
 
     Power kinds take the closed form (the gauge equals the p-average).
     Other kinds bracket each row by doubling and halving from its peak,
-    then bisect all rows together until every relative bracket width is
-    under rtol (so a row can come out tighter than on its own, never
-    looser), and return the upper ends so the unit-mean constraint holds.
-    A row gauges 0 when no positive value carries mass or when its lower
-    bracket falls below 1e-300.  The default tolerance is pinned well
-    below the contracted 1e-10 so that independent scans of the same cube
-    land within 1e-12 of each other.  Non-finite input, a row of no mass,
-    a bracket past the float range and an rtol at the float spacing raise
-    ValueError.
+    then bisect each block's rows together until every relative bracket
+    width in the block is under rtol (so a row can come out tighter than
+    on its own, never looser), and return the upper ends so the unit-mean
+    constraint holds.  A row gauges 0 when no positive value carries mass
+    or when its lower bracket falls below 1e-300.  The default tolerance
+    is pinned well below the contracted 1e-10 so that independent scans
+    of the same cube land within 1e-12 of each other.  Non-finite input,
+    a row of no mass, a bracket past the float range and an rtol at the
+    float spacing raise ValueError.
+
+    All blocks run through one set of loops.  Each test "mean of
+    Phi(|values|/lam) <= 1" is read off a root located once per row by
+    Newton (see _locate_roots): it passes when lam lies above the root's
+    band and fails below it; only a lam inside the band, whose relative
+    half-width is 4 (c + 8 + 4 el) eps + 2 |G(root) - 1| for c positive
+    terms and elasticity el, runs the test on the block's own arrays.  So
+    every value is bit-identical to bisecting each block on its own, and
+    a block's values depend only on its own rows.
     """
-    a = np.abs(np.asarray(values, dtype=float))
-    m = np.asarray(masses, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(m).all()):
-        raise ValueError("non-finite values or masses")
-    if not rtol > 4.0 * np.finfo(float).eps:
+    if not rtol > 4.0 * _EPS:
         raise ValueError("rtol must exceed the float spacing")
-    total = m.sum(axis=1)
-    if np.any(total <= 0):
-        raise ValueError("degenerate measure")
-    m = m / total[:, None]
+    rows = []
+    for values, masses in blocks:
+        a = np.abs(np.asarray(values, dtype=float))
+        m = np.asarray(masses, dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(m).all()):
+            raise ValueError("non-finite values or masses")
+        total = m.sum(axis=1)
+        if np.any(total <= 0):
+            raise ValueError("degenerate measure")
+        rows.append((a, m / total[:, None]))
     if phi.kind == "power":
-        return np.einsum("ij,ij->i", a ** phi.exponent, m) ** (1.0 / phi.exponent)
-    out = np.zeros(a.shape[0])
-    live = np.any((a > 0) & (m > 0), axis=1)
-    if not np.any(live):
+        p = phi.exponent
+        return np.concatenate([np.zeros(0)] + [
+            np.einsum("ij,ij->i", a ** p, m) ** (1.0 / p) for a, m in rows])
+    pos = [(a > 0) & (m > 0) for a, m in rows]  # the cells Phi sees
+    lives = [p.any(axis=1) for p in pos]
+    out = np.zeros(sum(len(live) for live in lives))
+    rows = [(a[live], m[live]) for (a, m), live in zip(rows, lives)]
+    pos = [p[live] for p, live in zip(pos, lives)]
+    count = np.array([len(a) for a, _ in rows], dtype=int)
+    if not count.any():
         return out
-    a, m = a[live], m[live]
+    first = np.cumsum(count) - count  # each block's first row
+    blk = np.repeat(np.arange(len(rows)), count)
+    bottom, top = _locate_roots(
+        np.concatenate([a[p] for (a, _), p in zip(rows, pos)]),
+        np.concatenate([m[p] for (_, m), p in zip(rows, pos)]),
+        np.concatenate([np.nonzero(p)[0] + f for p, f in zip(pos, first)]),
+        int(count.sum()), phi)
 
-    def means(lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = phi(a / lam[:, None])
-        return np.einsum("ij,ij->i", np.where(m > 0, vals, 0.0), m)
+    def test(lam, ids, bottom, top, bracket=None):
+        # means(lam) <= 1 for the rows ids, read off the roots outside
+        # their bands and run on the block's own arrays inside them; a
+        # lam at an end of its row's (lo, hi) bracket repeats that end's
+        # outcome (lo failed, hi passed)
+        ok = lam > top
+        near = ~(ok | (lam < bottom))
+        if near.any() and bracket is not None:
+            ok |= near & (lam == bracket[1])
+            near &= (lam != bracket[0]) & (lam != bracket[1])
+        if near.any():
+            near = np.flatnonzero(near)
+            for part in np.split(near, np.flatnonzero(np.diff(blk[ids[near]])) + 1):
+                b = blk[ids[part[0]]]
+                a, m = rows[b]
+                local = ids[part] - first[b]
+                ok[part] = _phi_means(a[local], m[local], lam[part], phi) <= 1.0
+        return ok
 
-    hi = a.max(axis=1)
-    while (up := means(hi) > 1.0).any():
+    hi = np.concatenate([a.max(axis=1, initial=0.0) for a, _ in rows])
+    up = np.flatnonzero(~test(hi, np.arange(len(hi)), bottom, top))
+    while up.size:
         with np.errstate(over="ignore"):
             hi[up] *= 2.0
+        up = up[~test(hi[up], up, bottom[up], top[up])]
     if not np.isfinite(hi).all():
         raise ValueError("gauge bracket overflows")
     lo = hi.copy()
-    dead = np.zeros(len(a), dtype=bool)  # lower bracket under 1e-300: gauge 0
-    while (down := (means(lo) <= 1.0) & ~dead).any():
+    down = np.arange(len(lo))  # every row passes at its upper bracket
+    while down.size:
         lo[down] *= 0.5
-        dead |= lo < 1e-300
-    while ((hi - lo > rtol * hi) & ~dead).any():
-        mid = 0.5 * (lo + hi)
-        ok = means(mid) <= 1.0
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    out[live] = np.where(dead, 0.0, hi)
+        down = down[lo[down] >= 1e-300]
+        down = down[test(lo[down], down, bottom[down], top[down])]
+    dead = lo < 1e-300  # lower bracket under 1e-300: gauge 0
+    # bisect; a block stops once every one of its live rows meets rtol
+    w = np.flatnonzero(~dead)
+    lo_w, hi_w, bottom_w, top_w = lo[w], hi[w], bottom[w], top[w]
+    starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
+    while w.size:
+        wide = hi_w - lo_w > rtol * hi_w
+        if not wide.all() and not (still := np.logical_or.reduceat(wide, starts)).all():
+            keep = np.repeat(still, np.diff(starts, append=w.size))
+            hi[w[~keep]] = hi_w[~keep]
+            w, lo_w, hi_w, bottom_w, top_w = (
+                x[keep] for x in (w, lo_w, hi_w, bottom_w, top_w))
+            starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
+            if not w.size:
+                break
+        mid = 0.5 * (lo_w + hi_w)
+        ok = test(mid, w, bottom_w, top_w, (lo_w, hi_w))
+        hi_w = np.where(ok, mid, hi_w)
+        lo_w = np.where(ok, lo_w, mid)
+    out[np.concatenate(lives)] = np.where(dead, 0.0, hi)
     return out
 
 

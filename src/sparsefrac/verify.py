@@ -480,13 +480,11 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     ainf = ap_characteristic(sigma, e.r_prime, ws.battery)
     bmo = bmo_norm(b, ws.battery)
     avg = ws.battery.averages(b)
-    lhs = 0.0
-    for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
-                                             ws.battery.overlap_rows(sigma)):
-        if len(vals):  # a level with no cube inside the root box has no rows
-            mass = sig * frac * sigma.cell_volume
-            norms = luxemburg_norm_blocks(vals - avg[sl, None], mass, EXPM1)
-            lhs = max(lhs, float(norms.max()))
+    parts = [(vals - avg[sl, None], sig * frac * sigma.cell_volume)
+             for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
+                                                      ws.battery.overlap_rows(sigma))
+             if len(vals)]  # a level with no cube inside the root box has no rows
+    lhs = float(luxemburg_norm_blocks(parts, EXPM1).max(initial=0.0))
     rhs = ainf * bmo
     report = _base_report(
         case, ainf, lhs, rhs,
@@ -515,12 +513,13 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
         top = DyadicCube(0, 0, (0,) * case.root.n)
     if not ws.family.is_aligned(top.grid_id):
         raise ValueError("the summation check runs on the mesh-aligned grid")
-    total = 0.0
+    gathers = []
     for k in range(top.level, case.depth + 1):
         blocks = ws.family.level_blocks(top.grid_id, k, case.depth)
         r = 1 << (k - top.level)
-        sel = blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])
-        sq, norms = _orlicz_rows(f, sigma, phi, blocks, sel)
+        gathers.append((blocks, blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])))
+    total = 0.0
+    for k, (sq, norms) in enumerate(_orlicz_rows(f, sigma, phi, gathers), top.level):
         total += float(np.dot(sq, norms)) * ws.family.side_at(k) ** e.alpha
         if k == top.level:  # the one row of the top cube
             rhs = ws.family.side_at(k) ** e.alpha * float(sq[0]) * float(norms[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsefrac import operators
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import (
     bmo_norm,
@@ -18,7 +19,7 @@ from sparsefrac.operators import (
     sparse_fractional_integral,
     weighted_orlicz_fractional_maximal,
 )
-from sparsefrac.orlicz import LLOG, POWER1
+from sparsefrac.orlicz import EXPM1, LLOG, POWER1
 from sparsefrac.weights import CubeBattery
 
 from .conftest import refine
@@ -32,6 +33,7 @@ from .oracles import (
     naive_orlicz_maximal,
     naive_sparse_integral,
     overlap_weights,
+    per_block_gauge,
 )
 
 GEOM_SUM_HALF_K3 = sum(2.0 ** (-k / 2) for k in range(4))
@@ -217,6 +219,27 @@ class TestOrliczMaximal:
             got = weighted_orlicz_fractional_maximal(f, sigma, 0.4, LLOG, fam, gid).cells
             ref = naive_orlicz_maximal(f, sigma, 0.4, LLOG, fam, gid)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
+    def test_equals_per_level_bisection(self, root1, root2, dim, depth, phi, monkeypatch):
+        # one gauge call over every level gives, bit for bit, what one
+        # bisection per level gives, on every grid (shifted ones included)
+        root = root1 if dim == 1 else root2
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(23)
+        shape = (2 ** depth,) * dim
+        f = GridFunction(root, rng.lognormal(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.2))
+        cells = rng.uniform(0.1, 3.0, shape)
+        cells[(slice(0, 2 ** (depth - 2)),) * dim] = 0.0  # cubes of no sigma-mass
+        sigma = GridFunction(root, cells)
+        got = [weighted_orlicz_fractional_maximal(f, sigma, 0.4, phi, fam, gid)
+               for gid in range(fam.num_grids)]
+        monkeypatch.setattr(operators, "luxemburg_norm_blocks", per_block_gauge)
+        for gid, out in enumerate(got):
+            ref = weighted_orlicz_fractional_maximal(f, sigma, 0.4, phi, fam, gid)
+            assert np.array_equal(out.cells, ref.cells)
+            assert out.cube_visits == ref.cube_visits
 
 
 class TestCommutators:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sparsefrac import orlicz
 from sparsefrac.grid import GridFunction
 from sparsefrac.orlicz import (
     EXPM1,
@@ -18,7 +21,7 @@ from sparsefrac.orlicz import (
     norm_sandwich_check,
 )
 
-from .oracles import _bisect_gauge, naive_luxemburg
+from .oracles import _bisect_gauge, bisect_blocks, naive_luxemburg
 
 BOX = ([0.0], [1.0])
 
@@ -110,7 +113,7 @@ class TestLuxemburg:
         rng = np.random.default_rng(4)
         vals = rng.uniform(0, 2, (16, 32))
         mass = rng.uniform(0.1, 1, (16, 32))
-        got = luxemburg_norm_blocks(vals, mass, LLOG)
+        got = luxemburg_norm_blocks([(vals, mass)], LLOG)
         ref = [naive_luxemburg(v, m, LLOG) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12)
 
@@ -120,7 +123,7 @@ class TestLuxemburg:
         # as luxemburg_norm_arrays gives, and the other rows are unaffected
         vals = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 3.0], [0.0, 0.0], [0.5, 0.0]])
         mass = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
-        got = luxemburg_norm_blocks(vals, mass, phi)
+        got = luxemburg_norm_blocks([(vals, mass)], phi)
         assert got[0] == 0.0
         ref = [naive_luxemburg(v, m, phi) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
@@ -131,7 +134,7 @@ class TestLuxemburg:
         # rtol, the one-row call too, and a converged row beside it stays put
         vals = np.array([[big, 1.0], [1.0, 1.0]])
         mass = np.array([[1e-300, 1.0], [1.0, 1.0]])
-        got = luxemburg_norm_blocks(vals, mass, LLOG)
+        got = luxemburg_norm_blocks([(vals, mass)], LLOG)
         ref = [naive_luxemburg(v, m, LLOG) for v, m in zip(vals, mass)]
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
         assert luxemburg_norm_arrays(vals[0], mass[0], LLOG) == pytest.approx(ref[0], rel=1e-12)
@@ -140,7 +143,7 @@ class TestLuxemburg:
         # a lower bracket under 1e-300 gauges 0, as the scalar rule does
         vals = np.array([[1e-305, 0.0], [1.0, 2.0]])
         mass = np.ones((2, 2))
-        got = luxemburg_norm_blocks(vals, mass, LLOG)
+        got = luxemburg_norm_blocks([(vals, mass)], LLOG)
         assert got[0] == 0.0 == naive_luxemburg(vals[0], mass[0], LLOG)
         assert got[1] == pytest.approx(naive_luxemburg(vals[1], mass[1], LLOG), rel=1e-12)
 
@@ -151,21 +154,101 @@ class TestLuxemburg:
         for vals, mass in ((np.array([[bad, 1.0], [1.0, 2.0]]), ok),
                            (ok, np.array([[1.0, 1.0], [bad, 1.0]]))):
             with pytest.raises(ValueError, match="non-finite"):
-                luxemburg_norm_blocks(vals, mass, phi)
+                luxemburg_norm_blocks([(vals, mass)], phi)
         with pytest.raises(ValueError, match="non-finite"):
             luxemburg_norm_arrays([bad, 1.0], [1.0, 1.0], phi)
 
     def test_blocks_reject_what_cannot_converge(self):
         with pytest.raises(ValueError, match="overflows"):
-            luxemburg_norm_blocks(np.full((1, 2), 1.7e308), np.ones((1, 2)), LLOG)
+            luxemburg_norm_blocks([(np.full((1, 2), 1.7e308), np.ones((1, 2)))], LLOG)
         with pytest.raises(ValueError, match="rtol"):
-            luxemburg_norm_blocks(np.ones((1, 2)), np.ones((1, 2)), LLOG, rtol=1e-17)
+            luxemburg_norm_blocks([(np.ones((1, 2)), np.ones((1, 2)))], LLOG, rtol=1e-17)
 
     def test_shifted_cube_box(self, root1):
         # a box cutting cells still gives overlap-exact samples
         f = GridFunction.constant(root1, 6, 2.0)
         got = luxemburg_norm(f, [1 / 3], [5 / 6], unit_sigma(root1, 6), POWER1)
         assert got == pytest.approx(2.0, rel=1e-12)
+
+
+KINDS = (LLOG, EXPM1, POWER1, YoungFunction("power", 2.5))
+ROW_KINDS = ("plain", "wide", "floor", "massless", "guard")
+
+
+def gauge_block(width, seed, kinds, phi):
+    """One (values, masses) block of len(kinds) rough seeded rows, each
+    turned into the edge case its kind names, for the Young function phi."""
+    rng = np.random.default_rng(seed)
+    shape = (len(kinds), width)
+    vals = rng.lognormal(0.0, 3.0, shape) * rng.choice([-1.0, 0.0, 1.0], shape, p=[0.4, 0.2, 0.4])
+    mass = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) > 0.25)
+    mass[:, -1] += 0.5  # every row carries mass
+    for i, kind in enumerate(kinds):
+        if kind == "wide":  # a huge value on a sliver of mass: a long bracket
+            vals[i, 0], mass[i, 0] = (1e60, 1e100)[i % 2], 1e-300
+        elif kind == "floor":  # the root near or under the 1e-300 floor
+            vals[i] *= 10.0 ** -rng.uniform(285.0, 310.0)
+        elif kind == "massless":  # positive values where no mass lies (all, on even rows)
+            mass[i, :-1] = 0.0
+            vals[i, :-1] = rng.lognormal(0.0, 3.0, width - 1)
+            vals[i, -1] *= i % 2
+        elif kind == "guard" and width > 1:
+            # unit values and one cell on a mass that may be subnormal whose
+            # t at their root nears or passes the 700 expm1 guard or, on
+            # odd rows, where t log(e + t) overflows (t^p overflows sooner)
+            vals[i] = 1.0
+            vals[i, 0] = 10.0 ** rng.uniform(302.0, 307.0) if i % 2 and phi.kind != "power" else \
+                rng.uniform(300.0, 1100.0) / math.log(2.0)
+            mass[i, 0] = 10.0 ** -rng.uniform(296.0, 322.0)
+    return vals, mass
+
+
+class TestBatchedGauge:
+    """The batched gauge against the former one-block bisection."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(KINDS),
+           st.lists(st.tuples(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+                              st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5)),
+                    min_size=1, max_size=12),
+           st.data())
+    @example(EXPM1, [(6, 1, ["guard"] * 5), (3, 2, ["plain", "guard"])], None)
+    @example(LLOG, [(2, 3, ["wide", "wide", "plain"]), (1, 4, ["plain"]), (9, 5, ["floor"] * 4)], None)
+    @example(EXPM1, [(5, 6, ["massless", "massless", "floor", "wide"])] * 3, None)
+    def test_equals_per_block_bisection(self, phi, specs, data):
+        blocks = [gauge_block(*spec, phi) for spec in specs]
+        ref = [bisect_blocks(vals, mass, phi) for vals, mass in blocks]
+        assert np.array_equal(luxemburg_norm_blocks(blocks, phi), np.concatenate(ref))
+        order = list(reversed(range(len(blocks)))) if data is None else \
+            data.draw(st.permutations(range(len(blocks))))
+        got = luxemburg_norm_blocks([blocks[i] for i in order], phi)
+        assert np.array_equal(got, np.concatenate([ref[i] for i in order]))
+
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    def test_roots_settle_most_tests(self, phi, monkeypatch):
+        # on the levels of a rough 1-d mesh (K = 10) Newton settles every
+        # row within 8 steps, so the bisection's own test runs on fewer
+        # than 2 rows per gauge row, against about 46 when every test ran
+        rng = np.random.default_rng(29)
+        shapes = [(2 ** k, 2 ** (10 - k)) for k in range(11)]
+        blocks = [(rng.lognormal(0.0, 2.0, shape), rng.uniform(0.1, 3.0, shape)) for shape in shapes]
+        tested = []
+        phi_means = orlicz._phi_means
+
+        def counted(a, m, lam, phi):
+            tested.append(len(lam))
+            return phi_means(a, m, lam, phi)
+
+        monkeypatch.setattr(orlicz, "_phi_means", counted)
+        monkeypatch.setattr(orlicz, "_NEWTON_CAP", 8)
+        got = luxemburg_norm_blocks(blocks, phi)
+        assert np.array_equal(got, np.concatenate([bisect_blocks(v, m, phi) for v, m in blocks]))
+        assert sum(tested) < 2 * len(got)
+
+    def test_empty_input(self):
+        for phi in (LLOG, POWER1):
+            assert luxemburg_norm_blocks([], phi).shape == (0,)
+            assert luxemburg_norm_blocks([(np.ones((0, 3)), np.ones((0, 3)))], phi).shape == (0,)
 
 
 class TestAmemiya:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsefrac import operators, verify
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import dyadic_fractional_maximal
 from sparsefrac.weights import ExponentTriple
@@ -35,7 +36,7 @@ from sparsefrac.verify import (
     write_sweep_csv,
 )
 
-from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_lhs
+from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_lhs, per_block_gauge
 
 E_THIRD = ExponentTriple(1, 1.0 / 3.0, 2.0)
 E_HALF_P1 = ExponentTriple(1, 0.5, 1.0)
@@ -235,6 +236,32 @@ class TestSummationLemma:
         rep = verify_summation_lemma(case, top=top)[0]
         expect = sum(2.0 ** (-k / 3.0) for k in range(5))  # levels 2..6
         assert rep.measured_constant == pytest.approx(expect, rel=1e-12)
+
+
+class TestBatchedGauge:
+    @pytest.mark.parametrize("e,depth,battery_depth", [
+        (E_THIRD, 8, 5),
+        (ExponentTriple(2, 0.8, 2.0), 4, 3),
+    ])
+    def test_reports_equal_per_level_bisection(self, e, depth, battery_depth, monkeypatch):
+        # the oscillation bound (every grid's battery levels in one gauge
+        # call) and the summation lemma (every level in one call) report
+        # exactly what one bisection per level reports
+        root = RootBox((0.0,) * e.n, 1.0)
+        weight = WeightSpec("power", 0.3, "third")
+        cases = [
+            TestCase("bmo", "weighted_bmo", e, weight, FunctionSpec("constant"),
+                     BumpSpec("logdist", "third"), depth=depth,
+                     battery_depth=battery_depth, root=root),
+            TestCase("sum", "cube_summation", e, weight, FunctionSpec("sigma_probe", ((0.1,) * e.n, (0.7,) * e.n)),
+                     None, phi="llog", depth=depth, battery_depth=battery_depth, root=root),
+        ]
+        got = [verify_wtd_bmo(cases[0])[0], verify_summation_lemma(cases[1])[0]]
+        monkeypatch.setattr(verify, "luxemburg_norm_blocks", per_block_gauge)
+        monkeypatch.setattr(operators, "luxemburg_norm_blocks", per_block_gauge)
+        ref = [verify_wtd_bmo(cases[0])[0], verify_summation_lemma(cases[1])[0]]
+        assert got == ref
+        assert all(r.lhs > 0 for r in got)
 
 
 class TestDualityCubes:
