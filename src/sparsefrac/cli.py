@@ -209,6 +209,8 @@ def op(config_path, out_dir, seed, depth, fmt):
         _fail_config("missing required key 'op.name'")
     if name not in _OPERATORS:
         _fail_config(f"op.name must be one of {', '.join(_OPERATORS)}")
+    if name in ("riesz_potential", "commutator") and root.n != 1:
+        _fail_config(f"op.name {name} needs domain.dimension 1")
     ws = workspace(root, run["depth"], min(run["battery_depth"], run["depth"]))
     gid = cfg["op"]["grid"]
     w = materialize_weight(_weight_spec(cfg), root, run["depth"])

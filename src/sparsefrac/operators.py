@@ -205,16 +205,22 @@ def weighted_orlicz_fractional_maximal(
 # -- continuous operators (n = 1) ---------------------------------------------
 
 
+def _check_riesz(f: GridFunction, alpha: float) -> None:
+    if f.n != 1:
+        raise ValueError("continuous Riesz potential is implemented for n = 1 only")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def riesz_potential_at(f: GridFunction, alpha: float, points) -> np.ndarray:
     """I_alpha f at arbitrary points, exact for the piecewise-constant f.
 
     Per source cell the kernel |x-y|^(alpha-1) integrates in closed form;
     the cell containing the target is included (finite for alpha > 0).
+    One dot product per point, on increments of g(t) = sign(t)|t|^alpha/alpha
+    taken as differences of rounded values.
     """
-    if f.n != 1:
-        raise ValueError("continuous Riesz potential is implemented for n = 1 only")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_riesz(f, alpha)
     points = np.atleast_1d(np.asarray(points, dtype=float))
     m = 2 ** f.depth
     edges = f.root.origin[0] + np.arange(m + 1) * f.cell_side
@@ -226,18 +232,55 @@ def riesz_potential_at(f: GridFunction, alpha: float, points) -> np.ndarray:
     return out
 
 
+def _riesz_kernel(f: GridFunction, alpha: float) -> np.ndarray:
+    """The 2m - 1 weights d[j - i + m - 1] of cell j at the centre of cell i.
+
+    Cell j seen from centre i spans t in [(k - 1/2) h, (k + 1/2) h] with
+    k = j - i, so its weight g((k + 1/2) h) - g((k - 1/2) h) depends on |k|
+    alone.  For k != 0 it is formed without cancellation as
+    g(s h) * expm1(alpha * log1p(1/s)), s = |k| - 1/2.
+    """
+    _check_riesz(f, alpha)
+    h = f.cell_side
+    s = np.arange(1, 2 ** f.depth) - 0.5
+    far = (s * h) ** alpha / alpha * np.expm1(alpha * np.log1p(1.0 / s))
+    return np.concatenate([far[::-1], [2.0 * (0.5 * h) ** alpha / alpha], far])
+
+
+def _correlate_riesz(d: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    # out[i] = sum_j cells[j] d[j - i + m - 1]; direct, not by FFT, whose
+    # error scales with the largest output rather than with each dot product
+    return np.correlate(d, cells, "valid")[::-1]
+
+
 def riesz_potential_1d(f: GridFunction, alpha: float) -> OperatorOutput:
-    vals = riesz_potential_at(f, alpha, f.cell_centers()[0])
+    """I_alpha f at the cell centres: one correlation with a Toeplitz kernel.
+
+    At cell centres the weight of cell j at centre i depends only on
+    j - i, so the 2m - 1 kernel weights are built once (_riesz_kernel)
+    and the potential is one direct correlation, O(m^2) in C.  The
+    kernel depends on the cell side h alone, not on the root's origin;
+    (k - 1/2) h is exact for dyadic h, and each weight, formed without
+    cancellation, is within a few eps of the exact one relative to
+    itself.  Every output is then a dot product of m terms with positive
+    weights, so its error is at most about (gamma_m + 4 eps) (I_alpha|f|)
+    at that centre, gamma_m = m eps / (1 - m eps), and far less for the
+    blocked sums numpy runs.  riesz_potential_at, which takes the weights
+    as differences of rounded g values, is the per-point reference.
+    """
+    vals = _correlate_riesz(_riesz_kernel(f, alpha), f.cells)
     return OperatorOutput(
         f.with_cells(vals), "riesz_potential", None, {"alpha": alpha}, 0
     )
 
 
 def commutator_1d(b: GridFunction, f: GridFunction, alpha: float) -> OperatorOutput:
-    """[b, I_alpha] f = b * I_alpha(f) - I_alpha(b f), evaluated at cell centers."""
+    """[b, I_alpha] f = b * I_alpha(f) - I_alpha(b f), evaluated at cell
+    centers: one kernel, correlated with f and with b f."""
     b._same_mesh(f)
-    first = riesz_potential_1d(f, alpha).cells
-    second = riesz_potential_1d(b * f, alpha).cells
+    d = _riesz_kernel(f, alpha)
+    first = _correlate_riesz(d, f.cells)
+    second = _correlate_riesz(d, b.cells * f.cells)
     return OperatorOutput(
         f.with_cells(b.cells * first - second), "commutator", None,
         {"alpha": alpha}, 0,

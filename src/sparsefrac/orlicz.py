@@ -114,6 +114,21 @@ def _phi_means(a: np.ndarray, m: np.ndarray, lam: np.ndarray, phi: YoungFunction
     return np.einsum("ij,ij->i", np.where(m > 0, vals, 0.0), m)
 
 
+def _p_means(a: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """(sum m a^p)^(1/p) per row over the cells of positive mass.  Rows
+    where a^p leaves the float range are summed as peak * (a/peak)^p."""
+    live = m > 0
+    with np.errstate(over="ignore"):
+        out = np.einsum("ij,ij->i", np.where(live, a ** p, 0.0), m) ** (1.0 / p)
+    big = ~np.isfinite(out)
+    if big.any():
+        a, m, live = a[big], m[big], live[big]
+        peak = np.where(live, a, 0.0).max(axis=1, keepdims=True)
+        out[big] = peak[:, 0] * np.einsum(
+            "ij,ij->i", np.where(live, a / peak, 0.0) ** p, m) ** (1.0 / p)
+    return out
+
+
 def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
                   phi: YoungFunction) -> tuple[np.ndarray, np.ndarray]:
     """(bottom, top) per row: every lam above top passes the bisection's
@@ -179,7 +194,9 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     a sequence of (values, masses) blocks of shape (rows_i, cells_i): one
     value per row, block after block.
 
-    Power kinds take the closed form (the gauge equals the p-average).
+    Power kinds take the closed form (the gauge equals the p-average over
+    the cells of positive mass; rows whose |values|^p overflow are
+    rescaled by their peak).
     Other kinds bracket each row by doubling and halving from its peak,
     then bisect each block's rows together until every relative bracket
     width in the block is under rtol (so a row can come out tighter than
@@ -213,9 +230,7 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
             raise ValueError("degenerate measure")
         rows.append((a, m / total[:, None]))
     if phi.kind == "power":
-        p = phi.exponent
-        return np.concatenate([np.zeros(0)] + [
-            np.einsum("ij,ij->i", a ** p, m) ** (1.0 / p) for a, m in rows])
+        return np.concatenate([np.zeros(0)] + [_p_means(a, m, phi.exponent) for a, m in rows])
     pos = [(a > 0) & (m > 0) for a, m in rows]  # the cells Phi sees
     lives = [p.any(axis=1) for p in pos]
     out = np.zeros(sum(len(live) for live in lives))

@@ -204,6 +204,27 @@ def naive_luxemburg(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> 
     return _bisect_gauge(a, m, phi, rtol)
 
 
+def riesz_centres_mp(f: GridFunction, alpha: float, dps: int = 40):
+    """I_alpha f and I_alpha |f| at the cell centres of the float mesh, in
+    dps-digit arithmetic.  Cell j seen from centre i spans
+    [(j - i - 1/2) h, (j - i + 1/2) h] exactly, wherever the root sits."""
+    import mpmath
+
+    m = 2 ** f.depth
+    with mpmath.workdps(dps):
+        a, h = mpmath.mpf(alpha), mpmath.mpf(f.cell_side)
+
+        def g(t):
+            return mpmath.sign(t) * abs(t) ** a / a
+
+        w = {k: g((k + 0.5) * h) - g((k - 0.5) * h) for k in range(1 - m, m)}
+        c = [mpmath.mpf(float(v)) for v in f.cells]
+        rows = [[w[j - i] for j in range(m)] for i in range(m)]
+        val = [float(mpmath.fdot(c, r)) for r in rows]
+        mag = [float(mpmath.fdot([abs(v) for v in c], r)) for r in rows]
+    return np.array(val), np.array(mag)
+
+
 def naive_dyadic_integral(f, alpha, family, grid_id):
     out = np.zeros_like(f.cells)
     for k in range(f.depth + 1):

@@ -163,6 +163,17 @@ class TestOpAndSparse:
         fam = sparse_family_from_json(json.dumps(doc))
         assert len(fam.cubes) >= 1
 
+    @pytest.mark.parametrize("name", ["riesz_potential", "commutator"])
+    def test_continuous_operator_needs_one_dimension(self, runner, tmp_path, name):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text()
+                        .replace("dimension: 1\n  origin: [0.0]", "dimension: 2\n  origin: [0.0, 0.0]")
+                        .replace("name: dyadic_fractional_integral", f"name: {name}"))
+        result = runner.invoke(main, ["op", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and "domain.dimension" in result.output
+        assert not out.exists()
+
     def test_unknown_operator(self, runner, tmp_path):
         path = tmp_path / "op.yaml"
         path.write_text(

@@ -34,6 +34,7 @@ from .oracles import (
     naive_sparse_integral,
     overlap_weights,
     per_block_gauge,
+    riesz_centres_mp,
 )
 
 GEOM_SUM_HALF_K3 = sum(2.0 ** (-k / 2) for k in range(4))
@@ -61,6 +62,32 @@ class TestRiesz:
         f = GridFunction.constant(root2, 4, 1.0)
         with pytest.raises(ValueError):
             riesz_potential_1d(f, 0.5)
+
+    @pytest.mark.parametrize("origin,side", [(0.0, 1.0), (-0.3, 2.5), (0.1, 1.0)])
+    def test_centres_match_per_point(self, origin, side):
+        # the Toeplitz correlation against one dot product per centre, on
+        # signed data; the scale is the potential of |f|, the size every
+        # error of a dot product is measured against
+        rng = np.random.default_rng(31)
+        root = RootBox((origin,), side)
+        for depth in range(1, 13):
+            for alpha in (0.1, 1 / 3, 0.5, 0.9):
+                f = GridFunction(root, rng.standard_normal(2 ** depth))
+                ref = riesz_potential_at(f, alpha, f.cell_centers()[0])
+                got = riesz_potential_1d(f, alpha).cells
+                scale = np.max(riesz_potential_1d(abs(f), alpha).cells)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (depth, alpha)
+
+    @pytest.mark.parametrize("depth", [4, 6])
+    def test_centres_against_mpmath(self, depth):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(32)
+        root = RootBox((-0.3,), 2.5)
+        for alpha in (0.1, 1 / 3, 0.5, 0.9):
+            f = GridFunction(root, rng.standard_normal(2 ** depth))
+            exact, scale = riesz_centres_mp(f, alpha)
+            got = riesz_potential_1d(f, alpha).cells
+            assert np.max(np.abs(got - exact)) <= 4 * eps * np.max(scale), alpha
 
 
 class TestDyadicFractionalIntegral:
@@ -261,21 +288,22 @@ class TestCommutators:
     def test_continuous_against_direct_quadrature(self, root1):
         # assemble the kernel integral in one pass per target instead of
         # subtracting two potentials
-        b = GridFunction.indicator(root1, 6, [0.5], [1.0])
-        f = GridFunction.indicator(root1, 6, [0.25], [0.75])
         alpha = 0.5
-        got = commutator_1d(b, f, alpha).cells
-        m = 2 ** 6
-        h = 1.0 / m
-        edges = np.arange(m + 1) * h
-        centers = (np.arange(m) + 0.5) * h
-        ref = np.empty(m)
-        for i, x in enumerate(centers):
-            t = edges - x
-            g = np.sign(t) * np.abs(t) ** alpha / alpha
-            wts = np.diff(g)
-            ref[i] = float(((b.cells[i] - b.cells) * f.cells * wts).sum())
-        assert np.max(np.abs(got - ref)) < 1e-8
+        for depth in (6, 10):
+            b = GridFunction.indicator(root1, depth, [0.5], [1.0])
+            f = GridFunction.indicator(root1, depth, [0.25], [0.75])
+            got = commutator_1d(b, f, alpha).cells
+            m = 2 ** depth
+            h = 1.0 / m
+            edges = np.arange(m + 1) * h
+            centers = (np.arange(m) + 0.5) * h
+            ref = np.empty(m)
+            for i, x in enumerate(centers):
+                t = edges - x
+                g = np.sign(t) * np.abs(t) ** alpha / alpha
+                wts = np.diff(g)
+                ref[i] = float(((b.cells[i] - b.cells) * f.cells * wts).sum())
+            assert np.max(np.abs(got - ref)) < 1e-8, depth
 
     @pytest.mark.parametrize("dim,depth", [(1, 4), (2, 3)])
     def test_accelerated_matches_naive_module(self, root1, root2, dim, depth):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -244,6 +245,20 @@ class TestBatchedGauge:
         got = luxemburg_norm_blocks(blocks, phi)
         assert np.array_equal(got, np.concatenate([bisect_blocks(v, m, phi) for v, m in blocks]))
         assert sum(tested) < 2 * len(got)
+
+    def test_power_kind_past_float_range(self):
+        # 1e302^2.5 overflows although the p-average is finite, and a huge
+        # value on a cell of no mass must not count at all
+        phi = YoungFunction("power", 2.5)
+        vals = np.array([[1e302, 1.0]])
+        masses = (np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]))
+        got = luxemburg_norm_blocks([(vals, m) for m in masses], phi)
+        with mpmath.workdps(40):
+            p = mpmath.mpf(2.5)
+            for value, m in zip(got, masses):
+                mean = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.mpf(float(v)) ** p
+                                   for v, w in zip(vals[0], m[0])) / float(m.sum())
+                assert value == pytest.approx(float(mean ** (1 / p)), rel=1e-13)
 
     def test_empty_input(self):
         for phi in (LLOG, POWER1):
