@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
+from . import __version__
 from .config import ConfigError, load_config, require
 from .grid import RootBox, write_gridfunction
 from .operators import (
@@ -32,6 +34,7 @@ from .verify import (
     materialize_function,
     materialize_weight,
     run_battery,
+    run_scope,
     sweep_slope,
     workspace,
     write_reports_csv,
@@ -137,9 +140,20 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _write_meta(cfg, out: Path) -> None:
+def _write_meta(cfg, out: Path, scope=None) -> None:
+    """The config as run; after a verify or sweep run, also the versions
+    and the computed and reused counts of each shared result kind."""
+    doc = dict(cfg)
+    if scope is not None:
+        doc["provenance"] = {
+            "sparsefrac": __version__,
+            "numpy": np.__version__,
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        }
+        doc["shared_results"] = {kind: {"computed": n, "reused": scope.reused[kind]}
+                                 for kind, n in sorted(scope.computed.items())}
     with open(out / "run_meta.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, default=str)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -292,29 +306,31 @@ def verify(config_path, out_dir, seed, depth, fmt):
     _write_meta(cfg, out)
     all_reports = []
     failed = None
-    for theorem in theorems:
-        te = _theorem_exponents(theorem, e)
-        if theorem != "weak_1q" and te.p == 1:
-            _fail_config(f"theorem {theorem} needs exponents.p > 1")
-        result = run_battery(
-            theorem, te, root,
-            depth=run["depth"],
-            battery_depth=min(run["battery_depth"], run["depth"]),
-            gammas=cfg["verify"]["gammas"],
-            threshold_factor=cfg["verify"]["threshold_factor"],
-        )
-        all_reports.extend(result.reports)
-        click.echo(
-            f"{theorem}: {len(result.reports)} cases, calibration "
-            f"{result.calibration:.6g}, max measured {result.max_measured:.6g}, "
-            f"{'pass' if result.all_passed else 'FAIL'}"
-        )
-        if failed is None and not result.all_passed:
-            failed = result.first_failure()
+    with run_scope() as scope:
+        for theorem in theorems:
+            te = _theorem_exponents(theorem, e)
+            if theorem != "weak_1q" and te.p == 1:
+                _fail_config(f"theorem {theorem} needs exponents.p > 1")
+            result = run_battery(
+                theorem, te, root,
+                depth=run["depth"],
+                battery_depth=min(run["battery_depth"], run["depth"]),
+                gammas=cfg["verify"]["gammas"],
+                threshold_factor=cfg["verify"]["threshold_factor"],
+            )
+            all_reports.extend(result.reports)
+            click.echo(
+                f"{theorem}: {len(result.reports)} cases, calibration "
+                f"{result.calibration:.6g}, max measured {result.max_measured:.6g}, "
+                f"{'pass' if result.all_passed else 'FAIL'}"
+            )
+            if failed is None and not result.all_passed:
+                failed = result.first_failure()
     if run["format"] == "json":
         write_reports_json(all_reports, out / "reports.json")
     else:
         write_reports_csv(all_reports, out / "reports.csv")
+    _write_meta(cfg, out, scope)
     if failed is not None:
         click.echo(
             f"first failing case: {failed.case_id} measured "
@@ -337,22 +353,24 @@ def sweep(config_path, out_dir, seed, depth, fmt):
         _fail_config("missing required key 'sweep.theorems'")
     out = _outdir(cfg)
     _write_meta(cfg, out)
-    for theorem in theorems:
-        if theorem not in CHARACTERISTIC_POWERS:
-            _fail_config(f"theorem {theorem} has no characteristic to sweep")
-        te = _theorem_exponents(theorem, e)
-        result = run_battery(
-            theorem, te, root,
-            depth=run["depth"],
-            battery_depth=min(run["battery_depth"], run["depth"]),
-            gammas=cfg["sweep"]["gammas"],
-        )
-        path = out / f"sweep_{theorem}.csv"
-        slope = write_sweep_csv(result, path)
-        power = CHARACTERISTIC_POWERS[theorem](te)
-        click.echo(
-            f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}"
-        )
+    with run_scope() as scope:
+        for theorem in theorems:
+            if theorem not in CHARACTERISTIC_POWERS:
+                _fail_config(f"theorem {theorem} has no characteristic to sweep")
+            te = _theorem_exponents(theorem, e)
+            result = run_battery(
+                theorem, te, root,
+                depth=run["depth"],
+                battery_depth=min(run["battery_depth"], run["depth"]),
+                gammas=cfg["sweep"]["gammas"],
+            )
+            path = out / f"sweep_{theorem}.csv"
+            slope = write_sweep_csv(result, path)
+            power = CHARACTERISTIC_POWERS[theorem](te)
+            click.echo(
+                f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}"
+            )
+    _write_meta(cfg, out, scope)
 
 
 if __name__ == "__main__":

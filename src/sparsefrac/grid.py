@@ -472,6 +472,13 @@ class GridFunction:
             cum = np.cumsum(cum, axis=ax)
         return np.pad(cum, [(1, 0)] * self.n)
 
+    @functools.cached_property
+    def fingerprint(self) -> tuple:
+        """(root, shape, hash of the cell bytes), stable because cells are
+        read-only.  Equal functions share it; unequal ones may too, so a
+        match is confirmed by comparing cells."""
+        return (self.root, self.cells.shape, hash(self.cells.tobytes()))
+
     # -- constructors -----------------------------------------------------
 
     @classmethod

@@ -30,6 +30,7 @@ __all__ = [
     "sparse_fractional_integral",
     "dyadic_fractional_maximal",
     "fractional_maximal",
+    "orlicz_level_rows",
     "weighted_orlicz_fractional_maximal",
     "commutator_1d",
     "dyadic_commutator",
@@ -175,6 +176,18 @@ def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
     return out
 
 
+def orlicz_level_rows(
+    f: GridFunction, sigma: GridFunction, phi: YoungFunction,
+    family: DyadicGridFamily, grid_id: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level k = 0..K of one grid, sigma(Q) and ||f||_{Phi,Q,sigma} over
+    every cube of the level gather: the rows the Orlicz maximal operator
+    spreads.  They do not depend on alpha."""
+    f._same_mesh(sigma)
+    return _orlicz_rows(f, sigma, phi, [(family.level_blocks(grid_id, k, f.depth), None)
+                                        for k in range(f.depth + 1)])
+
+
 def weighted_orlicz_fractional_maximal(
     f: GridFunction,
     sigma: GridFunction,
@@ -182,18 +195,21 @@ def weighted_orlicz_fractional_maximal(
     phi: YoungFunction,
     family: DyadicGridFamily,
     grid_id: int,
+    rows: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> OperatorOutput:
     """Cellwise max over containing cubes of sigma(Q)^(alpha/n) ||f||_{Phi,Q,sigma}.
 
     alpha = 0 gives the weighted (Orlicz) maximal function; phi = t gives
-    the plain weighted fractional maximal function.
+    the plain weighted fractional maximal function.  rows, when given, are
+    orlicz_level_rows(f, sigma, phi, family, grid_id), computed earlier;
+    only their spread onto the cells is left.
     """
-    f._same_mesh(sigma)
+    if rows is None:
+        rows = orlicz_level_rows(f, sigma, phi, family, grid_id)
     out = np.zeros_like(f.cells)
     visits = 0
-    levels = [family.level_blocks(grid_id, k, f.depth) for k in range(f.depth + 1)]
-    rows = _orlicz_rows(f, sigma, phi, [(blocks, None) for blocks in levels])
-    for blocks, (sq, norms) in zip(levels, rows):
+    for k, (sq, norms) in enumerate(rows):
+        blocks = family.level_blocks(grid_id, k, f.depth)
         np.maximum(out, blocks.spread(sq ** (alpha / f.n) * norms), out=out)
         visits += int(np.count_nonzero(sq > 0))
     return OperatorOutput(
@@ -215,20 +231,40 @@ def _check_riesz(f: GridFunction, alpha: float) -> None:
 def riesz_potential_at(f: GridFunction, alpha: float, points) -> np.ndarray:
     """I_alpha f at arbitrary points, exact for the piecewise-constant f.
 
-    Per source cell the kernel |x-y|^(alpha-1) integrates in closed form;
-    the cell containing the target is included (finite for alpha > 0).
-    One dot product per point, on increments of g(t) = sign(t)|t|^alpha/alpha
-    taken as differences of rounded values.
+    Per source cell the kernel |x-y|^(alpha-1) integrates in closed form
+    to an increment of g(t) = sign(t)|t|^alpha/alpha; the cell containing
+    the target is included (finite for alpha > 0).  One dot product per
+    point.  The edge offsets t = o + j h - x carry o - x as an exact
+    two-sum pair, so near x, where j h + (o - x) cancels exactly, each
+    takes one rounding (given j h exact, as for side 1 or 2.5).  A cell on
+    one side of x, at distance t_near > 0, weighs
+    g(t_near) * expm1(alpha * log1p(h / t_near)), _riesz_kernel's form,
+    free of the cancellation in a difference of rounded g values; the
+    cell holding x, and a cell with an edge at x, weigh the sum of the two
+    positive one-sided terms.
     """
     _check_riesz(f, alpha)
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    m = 2 ** f.depth
-    edges = f.root.origin[0] + np.arange(m + 1) * f.cell_side
+    h, o, m = f.cell_side, f.root.origin[0], 2 ** f.depth
+    jh = np.arange(m + 1) * h
     out = np.empty(points.size)
     for i, x in enumerate(points):
-        t = edges - x
-        g = np.sign(t) * np.abs(t) ** alpha / alpha
-        out[i] = float(np.dot(f.cells, np.diff(g)))
+        d = o - x
+        b = d - o
+        err = (o - (d - b)) + (-x - b)  # d + err == o - x exactly
+        t = (jh + d) + err
+        k = int(np.searchsorted(t, 0.0))  # t[k - 1] < 0 <= t[k]: cell k - 1 holds x
+        a = np.abs(t)
+        g = a ** alpha / alpha
+        on_edge = k <= m and t[k] == 0
+        if on_edge:
+            a[k] = h  # x is edge k: both cells beside it take the sum below
+        near = g * np.expm1(alpha * np.log1p(h / a))  # each edge's term as a near edge
+        w = np.concatenate([near[1:k], near[max(k - 1, 0):-1]])  # left cells, then the rest
+        for j in (k - 1, k) if on_edge else (k - 1,):
+            if 0 <= j < m:
+                w[j] = g[j] + g[j + 1]
+        out[i] = float(np.dot(f.cells, w))
     return out
 
 
@@ -265,8 +301,8 @@ def riesz_potential_1d(f: GridFunction, alpha: float) -> OperatorOutput:
     itself.  Every output is then a dot product of m terms with positive
     weights, so its error is at most about (gamma_m + 4 eps) (I_alpha|f|)
     at that centre, gamma_m = m eps / (1 - m eps), and far less for the
-    blocked sums numpy runs.  riesz_potential_at, which takes the weights
-    as differences of rounded g values, is the per-point reference.
+    blocked sums numpy runs.  riesz_potential_at, one dot product per
+    point on the same weight form, is the per-point reference.
     """
     vals = _correlate_riesz(_riesz_kernel(f, alpha), f.cells)
     return OperatorOutput(

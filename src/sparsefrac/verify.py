@@ -8,13 +8,19 @@ reference constant and every weighted case must stay within 4x of it.
 Measured constants are also swept in the mesh depth to check refinement
 stability, and the growth of the normalized left side against the
 characteristic is slope-fitted to confirm the stated powers suffice.
+
+Batteries cross a few inputs with several weights and theorems, so a run
+(run_battery, the CLI's verify and sweep) opens a run_scope, in which each
+repeated operator result is computed once per distinct input.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +33,7 @@ from .operators import (
     dyadic_fractional_integral,
     inner_outer_split,
     level_set_cubes,
+    orlicz_level_rows,
     sparse_fractional_integral,
     weighted_orlicz_fractional_maximal,
 )
@@ -55,6 +62,8 @@ __all__ = [
     "PartitionDiagnostic",
     "THEOREMS",
     "verify_case",
+    "run_scope",
+    "RunScope",
     "verify_weak_1q",
     "verify_strong_pq",
     "verify_commutator_strong",
@@ -318,6 +327,91 @@ def _phi_of(case: TestCase) -> YoungFunction:
     return {"power1": POWER1, "llog": LLOG}[case.phi]
 
 
+# -- run scope: each repeated operator result once per run --------------------
+
+
+class RunScope:
+    """Results shared by content while a run is open (see run_scope).
+
+    An entry is keyed by its kind, its other arguments and the fingerprints
+    of its mesh-function inputs.  A hit is confirmed by comparing roots and
+    cells with the stored inputs, so a fingerprint collision costs a
+    recomputation, never a wrong result.  computed and reused count the
+    results of each kind.
+    """
+
+    def __init__(self):
+        self.entries, self.computed, self.reused = {}, Counter(), Counter()
+
+    def fetch(self, kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute):
+        bucket = self.entries.setdefault((kind, params, *(g.fingerprint for g in inputs)), [])
+        for held, result in bucket:
+            if all(root == g.root and np.array_equal(cells, g.cells)
+                   for (root, cells), g in zip(held, inputs)):
+                self.reused[kind] += 1
+                return result
+        result = compute()
+        # the cells alone, not the functions with their cached tables
+        bucket.append((tuple((g.root, g.cells) for g in inputs), result))
+        self.computed[kind] += 1
+        return result
+
+
+_SCOPE: RunScope | None = None
+
+
+@contextlib.contextmanager
+def run_scope():
+    """Share repeated operator results between the cases and theorems of
+    one run.  A nested entry joins the open scope; leaving the outermost
+    one drops every held result (the counts stay on the yielded scope).
+    Outside a scope every verifier computes directly."""
+    global _SCOPE
+    if _SCOPE is not None:
+        yield _SCOPE
+        return
+    _SCOPE = scope = RunScope()
+    try:
+        yield scope
+    finally:
+        scope.entries.clear()
+        _SCOPE = None
+
+
+def _shared(kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute):
+    """compute() once per distinct input in the open run scope, else on
+    every call.  compute reaches the operators through this module's
+    globals at call time, where tracing may rebind them."""
+    if _SCOPE is None:
+        return compute()
+    return _SCOPE.fetch(kind, inputs, params, compute)
+
+
+def _integral(f: GridFunction, alpha: float, ws: Workspace):
+    return _shared("dyadic_fractional_integral", (f,), (alpha, ws.family),
+                   lambda: dyadic_fractional_integral(f, alpha, ws.family, 0))
+
+
+def _selection(f: GridFunction, ws: Workspace):
+    return _shared("sparse_select_for_operator", (f,), (ws.family,),
+                   lambda: sparse_select_for_operator(f, ws.family, 0))
+
+
+def _bmo(b: GridFunction, ws: Workspace) -> float:
+    return _shared("bmo_norm", (b,), (ws.battery,), lambda: bmo_norm(b, ws.battery))
+
+
+def _level_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction, ws: Workspace):
+    """(sigma(Q), ||f||_{Phi,Q,sigma}) per level of grid 0, read-only."""
+    def compute():
+        rows = orlicz_level_rows(f, sigma, phi, ws.family, 0)
+        for arrays in rows:
+            for a in arrays:
+                a.flags.writeable = False
+        return rows
+    return _shared("orlicz_level_rows", (f, sigma), (phi, ws.family), compute)
+
+
 # -- norm helpers ---------------------------------------------------------------
 
 
@@ -393,7 +487,7 @@ def verify_weak_1q(case: TestCase) -> list[VerificationReport]:
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
-    out = dyadic_fractional_integral(f, e.alpha, ws.family, 0)
+    out = _integral(f, e.alpha, ws)
     lhs = weak_quasinorm(out.cells, w.v(e), e.q)
     char = a1q_characteristic(w, e, ws.battery)
     input_norm = float((f.cells * w.base.cells).sum() * f.cell_volume)
@@ -412,8 +506,8 @@ def verify_strong_pq(case: TestCase) -> list[VerificationReport]:
     char = apq_characteristic(w, e, ws.battery)
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.strong_power * input_norm
-    out_d = dyadic_fractional_integral(f, e.alpha, ws.family, 0)
-    sparse = sparse_select_for_operator(f, ws.family, 0)
+    out_d = _integral(f, e.alpha, ws)
+    sparse = _selection(f, ws)
     out_s = sparse_fractional_integral(f, e.alpha, ws.family, sparse.cubes)
     reports = []
     for suffix, out in ((":dyadic", out_d), (":sparse", out_s)):
@@ -433,10 +527,11 @@ def verify_commutator_strong(case: TestCase) -> list[VerificationReport]:
     w = _case_weight(case)
     f = _case_function(case)
     b = materialize_bump(case.bump, case.root, case.depth)
-    out = dyadic_commutator(b, f, e.alpha, ws.family, 0)
+    out = _shared("dyadic_commutator", (b, f), (e.alpha, ws.family),
+                  lambda: dyadic_commutator(b, f, e.alpha, ws.family, 0))
     lhs = lebesgue_product_norm(out.values, w.base, e.q)
     char = apq_characteristic(w, e, ws.battery)
-    bmo = bmo_norm(b, ws.battery)
+    bmo = _bmo(b, ws)
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.commutator_power * bmo * input_norm
     report = _base_report(case, char, lhs, rhs, bump=case.bump.label(), bmo=bmo)
@@ -456,8 +551,9 @@ def verify_maximal_weak_and_strong(case: TestCase) -> list[VerificationReport]:
     sigma = _case_sigma(case) if case.weight.kind != "constant" else \
         GridFunction.constant(case.root, case.depth, 1.0)
     f = _case_function(case)
+    phi = _phi_of(case)
     out = weighted_orlicz_fractional_maximal(
-        f, sigma, e.alpha, _phi_of(case), ws.family, 0
+        f, sigma, e.alpha, phi, ws.family, 0, rows=_level_rows(f, sigma, phi, ws)
     )
     input_norm = weighted_p_norm(f, sigma, e.p)
     lhs_weak = weak_quasinorm(out.cells, sigma, e.q)
@@ -478,7 +574,7 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
         GridFunction.constant(case.root, case.depth, 1.0)
     b = materialize_bump(case.bump or BumpSpec("step"), case.root, case.depth)
     ainf = ap_characteristic(sigma, e.r_prime, ws.battery)
-    bmo = bmo_norm(b, ws.battery)
+    bmo = _bmo(b, ws)
     avg = ws.battery.averages(b)
     parts = [(vals - avg[sl, None], sig * frac * sigma.cell_volume)
              for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
@@ -509,17 +605,21 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
         GridFunction.constant(case.root, case.depth, 1.0)
     f = _case_function(case)
     phi = _phi_of(case)
-    if top is None:
-        top = DyadicCube(0, 0, (0,) * case.root.n)
+    root_cube = DyadicCube(0, 0, (0,) * case.root.n)
+    top = top or root_cube
     if not ws.family.is_aligned(top.grid_id):
         raise ValueError("the summation check runs on the mesh-aligned grid")
-    gathers = []
-    for k in range(top.level, case.depth + 1):
-        blocks = ws.family.level_blocks(top.grid_id, k, case.depth)
-        r = 1 << (k - top.level)
-        gathers.append((blocks, blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])))
+    if top == root_cube:  # every cube of grid 0: the maximal operator's rows
+        rows = _level_rows(f, sigma, phi, ws)
+    else:
+        gathers = []
+        for k in range(top.level, case.depth + 1):
+            blocks = ws.family.level_blocks(top.grid_id, k, case.depth)
+            r = 1 << (k - top.level)
+            gathers.append((blocks, blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])))
+        rows = _orlicz_rows(f, sigma, phi, gathers)
     total = 0.0
-    for k, (sq, norms) in enumerate(_orlicz_rows(f, sigma, phi, gathers), top.level):
+    for k, (sq, norms) in enumerate(rows, top.level):
         total += float(np.dot(sq, norms)) * ws.family.side_at(k) ** e.alpha
         if k == top.level:  # the one row of the top cube
             rhs = ws.family.side_at(k) ** e.alpha * float(sq[0]) * float(norms[0])
@@ -545,8 +645,9 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     f = _case_function(case)
     sigma, v = w.sigma(e), w.v(e)
     char = apq_characteristic(w, e, ws.full_battery)
-    sparse = sparse_select_for_operator(f, ws.family, 0)
-    cert = certify_sparse(sparse, ws.family, case.depth)
+    sparse = _selection(f, ws)
+    cert = _shared("certify_sparse", (f,), (ws.family,),  # sparse is a function of f
+                   lambda: certify_sparse(sparse, ws.family, case.depth))
     density_const = 2.0 ** (e.r_prime / e.p + e.r / e.p_prime)
     tol = 1e-9
     worst1 = worst2 = 0.0
@@ -719,10 +820,12 @@ def run_battery(
     The calibration constant is the largest measured constant among the
     unweighted cases; every case must come in under threshold_factor
     times it.  Reports keep battery order (case id order), so output is
-    run-to-run identical.
+    run-to-run identical.  The cases run in one run_scope, which joins
+    the caller's when one is open.
     """
     cases = build_battery(theorem, e, root, depth, battery_depth, gammas)
-    reports = [r for c in cases for r in verify_case(c)]
+    with run_scope():
+        reports = [r for c in cases for r in verify_case(c)]
     calib = [
         r.measured_constant
         for r in reports

@@ -10,6 +10,7 @@ self-consistent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,20 +112,29 @@ class CubeBattery:
             raise ValueError("battery level out of range")
         self.family = family
         self.max_level = max_level
-        self.cubes: list[DyadicCube] = []
         parts = []  # per (grid, level): lo, hi, volumes
-        for g in range(family.num_grids):
-            for k in range(max_level + 1):
-                coords = range_coords(family.inside_range(g, k))
-                self.cubes += [DyadicCube(g, k, tuple(m)) for m in coords.tolist()]
-                parts.append((*family.cube_corners(g, k, coords),
-                              np.full(len(coords), family.volume_at(k))))
-        if not self.cubes:
-            raise ValueError("empty battery")
+        for g, k, coords in self._levels():
+            parts.append((*family.cube_corners(g, k, coords),
+                          np.full(len(coords), family.volume_at(k))))
         self._lo, self._hi, self._vol = (np.concatenate(a) for a in zip(*parts))
+        if not len(self._vol):
+            raise ValueError("empty battery")
+
+    def _levels(self):
+        """(grid, level, coordinate array) in battery order."""
+        for g in range(self.family.num_grids):
+            for k in range(self.max_level + 1):
+                yield g, k, range_coords(self.family.inside_range(g, k))
+
+    @functools.cached_property
+    def cubes(self) -> list[DyadicCube]:
+        """The battery cubes in battery order, made on first use: the
+        verifiers read only the corner arrays."""
+        return [DyadicCube(g, k, tuple(m)) for g, k, coords in self._levels()
+                for m in coords.tolist()]
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self._vol)
 
     @property
     def key(self):

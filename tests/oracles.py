@@ -204,10 +204,18 @@ def naive_luxemburg(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> 
     return _bisect_gauge(a, m, phi, rtol)
 
 
-def riesz_centres_mp(f: GridFunction, alpha: float, dps: int = 40):
+def riesz_centres_mp(f: GridFunction, alpha: float, dps: int = 40, points=None):
     """I_alpha f and I_alpha |f| at the cell centres of the float mesh, in
     dps-digit arithmetic.  Cell j seen from centre i spans
-    [(j - i - 1/2) h, (j - i + 1/2) h] exactly, wherever the root sits."""
+    [(j - i - 1/2) h, (j - i + 1/2) h] exactly, wherever the root sits.
+
+    points (one per cell, each a few ulps from its exact centre, such as
+    the float centres) moves I_alpha f, not the scale, to the points: the
+    centre value minus delta_i sum_j c_j D[j - i], with delta_i the exact
+    offset of points[i] from its centre and D[k] = |(k + 1/2) h|^(alpha-1)
+    - |(k - 1/2) h|^(alpha-1).  The shift is about 1e-14 of the value, so
+    its sum runs in float64, and its neglected second-order term is about
+    delta / h of it, 1e-13 for a root near 1 at depth 8."""
     import mpmath
 
     m = 2 ** f.depth
@@ -220,9 +228,17 @@ def riesz_centres_mp(f: GridFunction, alpha: float, dps: int = 40):
         w = {k: g((k + 0.5) * h) - g((k - 0.5) * h) for k in range(1 - m, m)}
         c = [mpmath.mpf(float(v)) for v in f.cells]
         rows = [[w[j - i] for j in range(m)] for i in range(m)]
-        val = [float(mpmath.fdot(c, r)) for r in rows]
+        val = [mpmath.fdot(c, r) for r in rows]
         mag = [float(mpmath.fdot([abs(v) for v in c], r)) for r in rows]
-    return np.array(val), np.array(mag)
+        if points is not None:
+            o = mpmath.mpf(f.root.origin[0])
+            delta = [float(mpmath.mpf(float(x)) - o - (i + 0.5) * h)
+                     for i, x in enumerate(points)]
+            k = np.arange(1 - m, m) * f.cell_side
+            d = np.abs(k + 0.5 * f.cell_side) ** (alpha - 1) - np.abs(k - 0.5 * f.cell_side) ** (alpha - 1)
+            slope = np.correlate(d, f.cells, "valid")[::-1]  # sum_j c_j D[j - i]
+            val = [v - mpmath.mpf(float(s * dx)) for v, s, dx in zip(val, slope, delta)]
+    return np.array([float(v) for v in val]), np.array(mag)
 
 
 def naive_dyadic_integral(f, alpha, family, grid_id):

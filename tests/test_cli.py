@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sparsefrac
+from sparsefrac import operators, verify
 from sparsefrac.cli import main
 from sparsefrac.config import ConfigError, load_config
 from sparsefrac.grid import read_gridfunction
@@ -86,6 +92,55 @@ class TestVerify:
         first = (out / "reports.csv").read_bytes()
         runner.invoke(main, ["verify", "--config", str(path), "--seed", "0"])
         assert (out / "reports.csv").read_bytes() == first
+
+    def test_run_meta_records_versions_and_shared_counts(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        assert runner.invoke(main, ["verify", "--config", str(path)]).exit_code == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["provenance"] == {
+            "sparsefrac": sparsefrac.__version__,
+            "numpy": np.__version__,
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        }
+        shared = meta["shared_results"]
+        assert set(shared) == {"dyadic_fractional_integral", "sparse_select_for_operator"}
+        assert all(c["computed"] > 0 for c in shared.values())
+        assert meta["verify"]["theorems"] == ["strong_pq", "weak_1q"]
+
+    def test_each_repeated_result_computed_once(self, runner, tmp_path, monkeypatch):
+        # all seven theorems in one run: one commutator per distinct (b, f),
+        # and cube_summation reuses the gauge rows of maximal_pq
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "theorems: [strong_pq, weak_1q]",
+            "theorems: [weak_1q, strong_pq, commutator_strong, maximal_pq,\n"
+            "             weighted_bmo, cube_summation, duality_cubes]", 1))
+        commutators, gauges, theorem = [], [], [None]
+        run_case, commutator = verify.verify_case, verify.dyadic_commutator
+        gauge = operators.luxemburg_norm_blocks
+
+        def case(c):
+            theorem[0] = c.theorem
+            return run_case(c)
+
+        def counted_commutator(b, f, *args):
+            commutators.append((b.cells.tobytes(), f.cells.tobytes()) + args[:1])
+            return commutator(b, f, *args)
+
+        def counted_gauge(*args, **kwargs):
+            gauges.append(theorem[0])
+            return gauge(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_case", case)
+        monkeypatch.setattr(verify, "dyadic_commutator", counted_commutator)
+        monkeypatch.setattr(operators, "luxemburg_norm_blocks", counted_gauge)
+        result = runner.invoke(main, ["verify", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert commutators and len(commutators) == len(set(commutators))
+        assert "maximal_pq" in gauges and "cube_summation" not in gauges
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["shared_results"]["dyadic_commutator"]["computed"] == len(commutators)
+        assert meta["shared_results"]["orlicz_level_rows"]["reused"] > 0
 
     def test_missing_alpha_exits_2(self, runner, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -193,6 +248,9 @@ class TestSweep:
         assert lines[0] == "log_characteristic,log_normalized_lhs"
         assert len(lines) == 4
         assert "slope" in result.output
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["provenance"]["sparsefrac"] == sparsefrac.__version__
+        assert meta["shared_results"]["dyadic_fractional_integral"]["computed"] > 0
 
 
 class TestReportRoundTrip:
@@ -219,3 +277,15 @@ class TestEnvOverrides:
         assert result.exit_code == 0, result.output
         gf = read_gridfunction(out / "op_dyadic_fractional_integral.bin")
         assert gf.depth == 5
+
+
+def test_import_footprint():
+    # hashlib loads OpenSSL and scipy is large; every run and the benchmark's
+    # set-up import the CLI, which needs neither
+    src = str(Path(sparsefrac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, sparsefrac.cli; "
+            "print([m for m in ('hashlib', '_hashlib', 'scipy') if m in sys.modules])")
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert got.stdout.strip() == "[]"

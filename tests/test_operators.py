@@ -78,8 +78,11 @@ class TestRiesz:
                 scale = np.max(riesz_potential_1d(abs(f), alpha).cells)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (depth, alpha)
 
-    @pytest.mark.parametrize("depth", [4, 6])
+    @pytest.mark.parametrize("depth", [4, 6, 8])
     def test_centres_against_mpmath(self, depth):
+        # riesz_potential_at is given the float centres, a few ulps off the
+        # exact ones, which moves I_alpha f by up to 4.7 eps of the scale at
+        # depth 8 on this root, so its reference is taken at those points
         eps = np.finfo(float).eps
         rng = np.random.default_rng(32)
         root = RootBox((-0.3,), 2.5)
@@ -88,6 +91,10 @@ class TestRiesz:
             exact, scale = riesz_centres_mp(f, alpha)
             got = riesz_potential_1d(f, alpha).cells
             assert np.max(np.abs(got - exact)) <= 4 * eps * np.max(scale), alpha
+            points = f.cell_centers()[0]
+            exact_at, _ = riesz_centres_mp(f, alpha, points=points)
+            got_at = riesz_potential_at(f, alpha, points)
+            assert np.max(np.abs(got_at - exact_at)) <= 4 * eps * np.max(scale), alpha
 
 
 class TestDyadicFractionalIntegral:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -414,3 +415,104 @@ class TestBatteriesAndReports:
         res = run_battery("weak_1q", e1, DEFAULT_ROOT_2D, depth=4,
                           battery_depth=3, gammas=2)
         assert res.all_passed
+
+
+def _battery_exponents(theorem, n):
+    # the endpoint inequality runs at p = 1, as `sparsefrac verify` runs it
+    alpha, p = (1.0 / 3.0, 2.0) if n == 1 else (0.8, 2.0)
+    return ExponentTriple(n, alpha, 1.0 if theorem == "weak_1q" else p)
+
+
+def _shared_arrays(result):
+    if isinstance(result, operators.OperatorOutput):
+        return [result.cells]
+    if hasattr(result, "carriers"):  # a SparseCertificate
+        return [result.carriers.labels]
+    if isinstance(result, list) and result and isinstance(result[0], tuple):  # level rows
+        return [a for row in result for a in row]
+    return []
+
+
+class TestRunScope:
+    @pytest.mark.parametrize("theorem", verify.THEOREMS)
+    @pytest.mark.parametrize("n,depth,battery_depth", [(1, 8, 5), (2, 4, 3)])
+    def test_battery_equals_direct_cases(self, theorem, n, depth, battery_depth, monkeypatch):
+        # at (1/3, 2) two gammas include gamma = 0, the calibration weight again
+        root = verify.DEFAULT_ROOT_1D if n == 1 else verify.DEFAULT_ROOT_2D
+        e = _battery_exponents(theorem, n)
+        shared = run_battery(theorem, e, root, depth, battery_depth, gammas=2)
+        monkeypatch.setattr(verify, "run_scope", contextlib.nullcontext)
+        direct = run_battery(theorem, e, root, depth, battery_depth, gammas=2)
+        assert shared.reports == direct.reports
+        assert (shared.calibration, shared.threshold) == (direct.calibration, direct.threshold)
+
+    def test_gamma_zero_repeat_is_shared(self):
+        assert 0.0 in verify.sweep_gammas(E_THIRD, 2)
+        with verify.run_scope() as scope:
+            run_battery("maximal_pq", E_THIRD, depth=6, battery_depth=4, gammas=2)
+        assert scope.reused["orlicz_level_rows"] > 0
+
+    def test_nested_scopes_share_and_exit_empties(self):
+        case = case_for("duality_cubes", func=FunctionSpec("indicator", ((0.25,), (0.5,))))
+        with verify.run_scope() as outer:
+            with verify.run_scope() as inner:
+                assert inner is outer
+                first = verify_case(case)
+            assert outer.entries and verify._SCOPE is outer
+            computed = dict(outer.computed)
+            assert verify_case(case) == first
+            assert dict(outer.computed) == computed
+            assert outer.reused == computed  # one reuse of each result
+        assert verify._SCOPE is None and outer.entries == {}
+        with verify.run_scope() as again:
+            assert verify_case(case) == first
+        assert dict(again.computed) == computed and not again.reused
+
+    def test_equal_cells_on_another_root_or_depth_not_shared(self):
+        scope = verify.RunScope()
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return len(calls)
+
+        a = GridFunction.constant(RootBox((0.0,), 1.0), 4, 1.0)
+        moved = GridFunction.constant(RootBox((2.0,), 1.0), 4, 1.0)
+        finer = GridFunction.constant(RootBox((0.0,), 1.0), 5, 1.0)
+        again = GridFunction.constant(RootBox((0.0,), 1.0), 4, 1.0)
+        got = [scope.fetch("kind", (g,), (), compute) for g in (a, moved, finer, again)]
+        assert got == [1, 2, 3, 1]
+
+    def test_constant_fingerprint_still_correct(self, monkeypatch):
+        e = E_THIRD
+        with verify.run_scope() as honest:
+            want = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in verify.THEOREMS[1:]]
+        monkeypatch.setattr(GridFunction, "fingerprint", property(lambda self: 0))
+        with verify.run_scope() as colliding:
+            got = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in verify.THEOREMS[1:]]
+        assert [r.reports for r in got] == [r.reports for r in want]
+        assert colliding.computed == honest.computed
+        assert colliding.reused == honest.reused
+
+    def test_shared_arrays_read_only(self):
+        with verify.run_scope() as scope:
+            for theorem in verify.THEOREMS[1:]:
+                run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
+            results = [result for bucket in scope.entries.values() for _, result in bucket]
+            arrays = [a for result in results for a in _shared_arrays(result)]
+        assert {type(r).__name__ for r in results} >= {"OperatorOutput", "SparseCertificate", "list"}
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    def test_outside_a_scope_every_call_computes(self, monkeypatch):
+        calls = []
+        inner = verify.dyadic_fractional_integral
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(verify, "dyadic_fractional_integral", counted)
+        case = case_for("strong_pq", depth=6)
+        verify_case(case)
+        verify_case(case)
+        assert len(calls) == 2 and verify._SCOPE is None
