@@ -35,7 +35,6 @@ from .verify import (
     materialize_weight,
     run_battery,
     run_scope,
-    sweep_slope,
     workspace,
     write_reports_csv,
     write_reports_json,

@@ -33,6 +33,7 @@ __all__ = [
     "orlicz_level_rows",
     "weighted_orlicz_fractional_maximal",
     "commutator_1d",
+    "commutator_plan",
     "dyadic_commutator",
     "bmo_norm",
     "inner_outer_split",
@@ -326,50 +327,68 @@ def commutator_1d(b: GridFunction, f: GridFunction, alpha: float) -> OperatorOut
 # -- dyadic commutator ---------------------------------------------------------
 
 
-def _commutator_blocks(bb: np.ndarray, fm: np.ndarray) -> np.ndarray:
-    """Rows are cubes: inner sums of |b(x) - b(y)| fm(y) for x, y in the cube.
+def commutator_plan(
+    b: GridFunction, family: DyadicGridFamily, grid_id: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The half of dyadic_commutator that depends on b alone, per level
+    k = 0..K of one grid: (order, split), read-only int32 arrays (half
+    the memory of intp; a level's rows hold well under 2^31 entries).
 
-    Sorted prefix sums per row; the split position for a query is its own
-    sorted rank, which is valid because within a tie block the absolute
-    difference vanishes, so any consistent split gives the same sum.
+    order, shaped like the level's rows() array, is the stable sort of
+    each cube's row of b, as flat indices into that array.  split, shaped
+    like the cells, gives each cell its sorted rank + 1 in the row of the
+    cube holding its centre, as a flat index into the rows' zero-led
+    prefix sums (c + 1 entries a row).  The split at its own rank is
+    valid because within a tie block |b(x) - b(y)| vanishes, so any
+    consistent split gives the same sum.
     """
-    rows, c = bb.shape
-    order = np.argsort(bb, axis=1, kind="stable")
-    bs = np.take_along_axis(bb, order, axis=1)
-    fms = np.take_along_axis(fm, order, axis=1)
-    zero = np.zeros((rows, 1))
-    cfm = np.concatenate([zero, np.cumsum(fms, axis=1)], axis=1)
-    cbm = np.concatenate([zero, np.cumsum(bs * fms, axis=1)], axis=1)
-    ftot = cfm[:, -1:]
-    btot = cbm[:, -1:]
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(c), (rows, c)), axis=1)
-    pos = ranks + 1
-    take_f = np.take_along_axis(cfm, pos, axis=1)
-    take_b = np.take_along_axis(cbm, pos, axis=1)
-    return bb * (2.0 * take_f - ftot) + (btot - 2.0 * take_b)
+    plan = []
+    for k in range(b.depth + 1):
+        blocks = family.level_blocks(grid_id, k, b.depth)
+        bb = blocks.rows(b.cells)[0]
+        rows, c = bb.shape
+        base = np.arange(rows)[:, None]
+        order = np.argsort(bb, axis=1, kind="stable") + base * c
+        pos = np.empty_like(order)
+        pos.ravel()[order.ravel()] = (base * (c + 1) + np.arange(1, c + 1)).ravel()
+        order, split = order.astype(np.int32), blocks.spread_entries(pos).astype(np.int32)
+        order.flags.writeable = split.flags.writeable = False  # shared in a run scope
+        plan.append((order, split))
+    return plan
 
 
 def dyadic_commutator(
     b: GridFunction, f: GridFunction, alpha: float,
     family: DyadicGridFamily, grid_id: int,
+    *, plan: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> OperatorOutput:
     """Sum over cubes of |Q|^(alpha/n) avg_Q |b(x) - b(y)| f(y) dy.
 
     Accelerated with sorted prefix sums over the b values of each cube's
     row in the level gather, so a whole level costs one block computation
     of O(cells log cells).  The y-row is every cell the cube meets; each x
-    cell takes its own entry of the row of the cube holding its centre.
+    cell reads the row of the cube holding its centre at its own sorted
+    rank.  The sorts depend on b alone: plan, when given, is
+    commutator_plan(b, family, grid_id), computed earlier and shared by
+    every f; then each level costs f's gather, two cumsums and their takes.
     """
     b._same_mesh(f)
+    if plan is None:
+        plan = commutator_plan(b, family, grid_id)
     out = np.zeros_like(f.cells)
     visits = 0
-    for k in range(f.depth + 1):
+    for k, level in enumerate(plan):
+        order, split = (a.astype(np.intp) for a in level)  # each used twice below
         factor = _size_factor(family, k, alpha) / family.volume_at(k)
         blocks = family.level_blocks(grid_id, k, f.depth)
         fv, frac = blocks.rows(f.cells)
-        inner = _commutator_blocks(blocks.rows(b.cells)[0], fv * frac * f.cell_volume)
-        out += factor * blocks.spread_entries(inner)
+        fms = (fv * frac * f.cell_volume).ravel()[order]
+        zero = np.zeros((len(fv), 1))
+        cfm = np.concatenate([zero, np.cumsum(fms, axis=1)], axis=1)
+        cbm = np.concatenate(
+            [zero, np.cumsum(blocks.rows(b.cells)[0].ravel()[order] * fms, axis=1)], axis=1)
+        out += factor * (b.cells * (2.0 * cfm - cfm[:, -1:]).ravel()[split]
+                         + (cbm[:, -1:] - 2.0 * cbm).ravel()[split])
         visits += len(fv)
     return OperatorOutput(
         f.with_cells(out), "dyadic_commutator", grid_id, {"alpha": alpha}, visits

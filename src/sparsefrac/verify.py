@@ -29,9 +29,9 @@ from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cubes_by_
 from .operators import (
     bmo_norm,
     _orlicz_rows,
+    commutator_plan,
     dyadic_commutator,
     dyadic_fractional_integral,
-    inner_outer_split,
     level_set_cubes,
     orlicz_level_rows,
     sparse_fractional_integral,
@@ -317,10 +317,16 @@ def _case_sigma(case: TestCase) -> GridFunction:
 
 
 def _case_function(case: TestCase) -> GridFunction:
-    sigma = None
-    if case.func.kind == "sigma_probe":
-        sigma = _case_sigma(case)
-    return materialize_function(case.func, case.root, case.depth, sigma)
+    probe = case.func.kind == "sigma_probe"  # cut from the case's dual density
+    key = ("function", case.func, case.root, case.depth) + ((case.weight, case.e) if probe else ())
+    return _materialized(key, lambda: materialize_function(
+        case.func, case.root, case.depth, _case_sigma(case) if probe else None))
+
+
+def _case_bump(case: TestCase) -> GridFunction:
+    spec = case.bump or BumpSpec("step")
+    return _materialized(("bump", spec, case.root, case.depth),
+                         lambda: materialize_bump(spec, case.root, case.depth))
 
 
 def _phi_of(case: TestCase) -> YoungFunction:
@@ -337,11 +343,13 @@ class RunScope:
     of its mesh-function inputs.  A hit is confirmed by comparing roots and
     cells with the stored inputs, so a fingerprint collision costs a
     recomputation, never a wrong result.  computed and reused count the
-    results of each kind.
+    results of each kind.  inputs holds the cases' materialized f and b
+    by spec (see _materialized).
     """
 
     def __init__(self):
         self.entries, self.computed, self.reused = {}, Counter(), Counter()
+        self.inputs = {}
 
     def fetch(self, kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute):
         bucket = self.entries.setdefault((kind, params, *(g.fingerprint for g in inputs)), [])
@@ -375,6 +383,7 @@ def run_scope():
         yield scope
     finally:
         scope.entries.clear()
+        scope.inputs.clear()
         _SCOPE = None
 
 
@@ -385,6 +394,17 @@ def _shared(kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute)
     if _SCOPE is None:
         return compute()
     return _SCOPE.fetch(kind, inputs, params, compute)
+
+
+def _materialized(key: tuple, build) -> GridFunction:
+    """build() once per spec key in the open run scope, else on every call;
+    one object per input keeps its fingerprint and tables across cases."""
+    if _SCOPE is None:
+        return build()
+    got = _SCOPE.inputs.get(key)
+    if got is None:
+        got = _SCOPE.inputs[key] = build()
+    return got
 
 
 def _integral(f: GridFunction, alpha: float, ws: Workspace):
@@ -526,9 +546,13 @@ def verify_commutator_strong(case: TestCase) -> list[VerificationReport]:
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
-    b = materialize_bump(case.bump, case.root, case.depth)
-    out = _shared("dyadic_commutator", (b, f), (e.alpha, ws.family),
-                  lambda: dyadic_commutator(b, f, e.alpha, ws.family, 0))
+    b = _case_bump(case)
+
+    def commutator():  # b's sorts are shared by every f
+        plan = _shared("commutator_plan", (b,), (ws.family,),
+                       lambda: commutator_plan(b, ws.family, 0))
+        return dyadic_commutator(b, f, e.alpha, ws.family, 0, plan=plan)
+    out = _shared("dyadic_commutator", (b, f), (e.alpha, ws.family), commutator)
     lhs = lebesgue_product_norm(out.values, w.base, e.q)
     char = apq_characteristic(w, e, ws.battery)
     bmo = _bmo(b, ws)
@@ -572,15 +596,18 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     ws = workspace(case.root, case.depth, case.battery_depth)
     sigma = _case_sigma(case) if case.weight.kind != "constant" else \
         GridFunction.constant(case.root, case.depth, 1.0)
-    b = materialize_bump(case.bump or BumpSpec("step"), case.root, case.depth)
+    b = _case_bump(case)
     ainf = ap_characteristic(sigma, e.r_prime, ws.battery)
     bmo = _bmo(b, ws)
-    avg = ws.battery.averages(b)
-    parts = [(vals - avg[sl, None], sig * frac * sigma.cell_volume)
-             for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
-                                                      ws.battery.overlap_rows(sigma))
-             if len(vals)]  # a level with no cube inside the root box has no rows
-    lhs = float(luxemburg_norm_blocks(parts, EXPM1).max(initial=0.0))
+
+    def oscillation_gauge() -> float:
+        avg = ws.battery.averages(b)
+        parts = [(vals - avg[sl, None], sig * frac * sigma.cell_volume)
+                 for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
+                                                          ws.battery.overlap_rows(sigma))
+                 if len(vals)]  # a level with no cube inside the root box has no rows
+        return float(luxemburg_norm_blocks(parts, EXPM1).max(initial=0.0))
+    lhs = _shared("oscillation_gauge", (b, sigma), (ws.battery,), oscillation_gauge)
     rhs = ainf * bmo
     report = _base_report(
         case, ainf, lhs, rhs,

@@ -7,7 +7,9 @@ paths they check.  The exceptions are the library's former per-cube
 paths, dyadic_commutator_naive and the sparse machinery at the end: they
 find a cube's cells with cells_in_cube and average with box_overlap or the
 scalar box_integral, so the level sweeps they check must reproduce the
-sparse ones bit for bit.
+sparse ones bit for bit; and dyadic_commutator_blocks, the commutator's
+former per-(b, f) block form on the library's level gather, which the
+planned commutator must reproduce bit for bit.
 """
 
 import math
@@ -365,6 +367,46 @@ def dyadic_commutator_naive(
     return OperatorOutput(
         f.with_cells(out), "dyadic_commutator_naive", grid_id, {"alpha": alpha}, visits
     )
+
+
+def _commutator_blocks(bb: np.ndarray, fm: np.ndarray) -> np.ndarray:
+    """Rows are cubes: inner sums of |b(x) - b(y)| fm(y) for x, y in the cube.
+
+    Sorted prefix sums per row; the split position for a query is its own
+    sorted rank, which is valid because within a tie block the absolute
+    difference vanishes, so any consistent split gives the same sum.
+    """
+    rows, c = bb.shape
+    order = np.argsort(bb, axis=1, kind="stable")
+    bs = np.take_along_axis(bb, order, axis=1)
+    fms = np.take_along_axis(fm, order, axis=1)
+    zero = np.zeros((rows, 1))
+    cfm = np.concatenate([zero, np.cumsum(fms, axis=1)], axis=1)
+    cbm = np.concatenate([zero, np.cumsum(bs * fms, axis=1)], axis=1)
+    ftot = cfm[:, -1:]
+    btot = cbm[:, -1:]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(c), (rows, c)), axis=1)
+    pos = ranks + 1
+    take_f = np.take_along_axis(cfm, pos, axis=1)
+    take_b = np.take_along_axis(cbm, pos, axis=1)
+    return bb * (2.0 * take_f - ftot) + (btot - 2.0 * take_b)
+
+
+def dyadic_commutator_blocks(b: GridFunction, f: GridFunction, alpha: float,
+                             family: DyadicGridFamily, grid_id: int) -> np.ndarray:
+    """The dyadic commutator with every level sorted afresh for each (b, f):
+    _commutator_blocks on the level_blocks rows, spread by open-mesh indexing."""
+    out = np.zeros_like(f.cells)
+    for k in range(f.depth + 1):
+        factor = family.side_at(k) ** alpha / family.volume_at(k)
+        blocks = family.level_blocks(grid_id, k, f.depth)
+        fv, frac = blocks.rows(f.cells)
+        inner = _commutator_blocks(blocks.rows(b.cells)[0], fv * frac * f.cell_volume)
+        cols = [np.arange(r.size) - i[r, 0] for i, r in zip(blocks.idx, blocks.row)]
+        a = inner.reshape(blocks.shape + tuple(i.shape[1] for i in blocks.idx))
+        out += factor * a[np.ix_(*blocks.row) + np.ix_(*cols)]
+    return out
 
 
 def naive_weak_quasinorm(values, density: GridFunction, q: float) -> float:

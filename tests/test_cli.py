@@ -123,9 +123,9 @@ class TestVerify:
             theorem[0] = c.theorem
             return run_case(c)
 
-        def counted_commutator(b, f, *args):
+        def counted_commutator(b, f, *args, **kwargs):
             commutators.append((b.cells.tobytes(), f.cells.tobytes()) + args[:1])
-            return commutator(b, f, *args)
+            return commutator(b, f, *args, **kwargs)
 
         def counted_gauge(*args, **kwargs):
             gauges.append(theorem[0])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sparsefrac import operators
+from sparsefrac import operators, verify
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import (
     bmo_norm,
     commutator_1d,
+    commutator_plan,
     dyadic_commutator,
     dyadic_fractional_integral,
     dyadic_fractional_maximal,
@@ -25,6 +26,7 @@ from sparsefrac.weights import CubeBattery
 from .conftest import refine
 from .oracles import (
     cells_in_cube,
+    dyadic_commutator_blocks,
     dyadic_commutator_naive,
     naive_commutator,
     naive_dyadic_integral,
@@ -321,6 +323,28 @@ class TestCommutators:
         b = GridFunction(root, rng.uniform(-1, 1, (2 ** depth,) * dim))
         for gid in range(fam.num_grids):
             got = dyadic_commutator(b, f, 0.4, fam, gid).cells
+            ref = dyadic_commutator_naive(b, f, 0.4, fam, gid).cells
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(ref), 1e-12)
+
+    @pytest.mark.parametrize("root,depth", [
+        (RootBox((0.0,), 1.0), 8), (RootBox((0.0, 0.0), 1.0), 4), (RootBox((-0.3,), 2.5), 6),
+    ])
+    @pytest.mark.parametrize("bump", ["step", "logdist", "random"])
+    def test_planned_equals_block_form(self, root, depth, bump):
+        # the plan only moves the b-side sorts out of the per-f work: with a
+        # plan, without one and the former block form agree bit for bit
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(12)
+        shape = (2 ** depth,) * root.n
+        f = GridFunction(root, rng.uniform(0, 1, shape))
+        b = (GridFunction(root, rng.standard_normal(shape)) if bump == "random"
+             else verify.materialize_bump(verify.BumpSpec(bump), root, depth))
+        for gid in range(fam.num_grids):
+            plan = commutator_plan(b, fam, gid)
+            assert all(not a.flags.writeable for level in plan for a in level)
+            got = dyadic_commutator(b, f, 0.4, fam, gid, plan=plan).cells
+            assert np.array_equal(got, dyadic_commutator(b, f, 0.4, fam, gid).cells)
+            assert np.array_equal(got, dyadic_commutator_blocks(b, f, 0.4, fam, gid))
             ref = dyadic_commutator_naive(b, f, 0.4, fam, gid).cells
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(ref), 1e-12)
 

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -428,8 +429,8 @@ def _shared_arrays(result):
         return [result.cells]
     if hasattr(result, "carriers"):  # a SparseCertificate
         return [result.carriers.labels]
-    if isinstance(result, list) and result and isinstance(result[0], tuple):  # level rows
-        return [a for row in result for a in row]
+    if isinstance(result, list) and result and isinstance(result[0], tuple):
+        return [a for level in result for a in level]  # level rows or a commutator plan
     return []
 
 
@@ -500,8 +501,35 @@ class TestRunScope:
                 run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
             results = [result for bucket in scope.entries.values() for _, result in bucket]
             arrays = [a for result in results for a in _shared_arrays(result)]
+            kinds = {key[0] for key in scope.entries}
         assert {type(r).__name__ for r in results} >= {"OperatorOutput", "SparseCertificate", "list"}
+        assert {"orlicz_level_rows", "commutator_plan"} <= kinds
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+    def test_plans_gauges_and_inputs_once_per_run(self, monkeypatch):
+        # five functions, two bumps, three weights, and gamma = 0 repeats the
+        # constant weight: 12 distinct (b, f) commutators on two plans, and
+        # 4 distinct (b, sigma) oscillation gauges for 6 weighted_bmo cases
+        calls = Counter()
+        for name in ("materialize_function", "materialize_bump"):
+            def counted(*args, _inner=getattr(verify, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(verify, name, counted)
+        with verify.run_scope() as scope:
+            for theorem in ("commutator_strong", "weighted_bmo"):
+                run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
+        assert (scope.computed["dyadic_commutator"], scope.reused["dyadic_commutator"]) == (12, 18)
+        assert (scope.computed["commutator_plan"], scope.reused["commutator_plan"]) == (2, 10)
+        assert (scope.computed["oscillation_gauge"], scope.reused["oscillation_gauge"]) == (4, 2)
+        # four plain functions, the probe once per weight, and the two bumps
+        assert calls == {"materialize_function": 7, "materialize_bump": 2}
+        assert scope.inputs == {}
+        case = case_for("commutator_strong", depth=6, battery_depth=4,
+                        func=FunctionSpec("sigma_probe", ((0.0,), (0.5,))), bump=BumpSpec("step"))
+        verify_case(case)
+        verify_case(case)
+        assert calls == {"materialize_function": 9, "materialize_bump": 4}
 
     def test_outside_a_scope_every_call_computes(self, monkeypatch):
         calls = []
