@@ -16,6 +16,7 @@ class ConfigError(ValueError):
     pass
 
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when built
 _SCHEMA: dict[str, dict[str, type | tuple]] = {
     "run": {
         "seed": int,
@@ -84,7 +85,7 @@ def load_config(path) -> dict:
     """Parse and validate; returns the config with defaults filled in."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -11,8 +11,10 @@ The Luxemburg gauge is a bisection on lambda for the unit-mean
 constraint, run once over blocks of rows (one block per cube level) with
 each block keeping its own stop rule.  A root located per row by Newton
 decides every bisection test whose lambda lies outside a derived error
-band, so only tests inside the band evaluate Phi, and every value is the
-one bisecting that block on its own gives, bit for bit.
+band [bottom, top], so only tests inside the band evaluate Phi, and every
+value is the one bisecting that block on its own gives, bit for bit.
+A value is 0 or lies in [bottom, top / (1 - rtol)], so the max-only gauge
+bisects just the blocks whose bands reach the largest bottom.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "luxemburg_norm",
     "luxemburg_norm_arrays",
     "luxemburg_norm_blocks",
+    "luxemburg_norm_max",
     "amemiya_norm",
     "generalized_holder_check",
     "norm_sandwich_check",
@@ -115,17 +118,19 @@ def _phi_means(a: np.ndarray, m: np.ndarray, lam: np.ndarray, phi: YoungFunction
 
 
 def _p_means(a: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
-    """(sum m a^p)^(1/p) per row over the cells of positive mass.  Rows
-    where a^p leaves the float range are summed as peak * (a/peak)^p."""
+    """(sum m a^p)^(1/p) per row over the cells of positive mass.  Rows whose sum
+    overflows or falls under the normal range are summed as peak * (a/peak)^p."""
     live = m > 0
     with np.errstate(over="ignore"):
-        out = np.einsum("ij,ij->i", np.where(live, a ** p, 0.0), m) ** (1.0 / p)
-    big = ~np.isfinite(out)
-    if big.any():
-        a, m, live = a[big], m[big], live[big]
-        peak = np.where(live, a, 0.0).max(axis=1, keepdims=True)
-        out[big] = peak[:, 0] * np.einsum(
-            "ij,ij->i", np.where(live, a / peak, 0.0) ** p, m) ** (1.0 / p)
+        total = np.einsum("ij,ij->i", np.where(live, a ** p, 0.0), m)
+    out = total ** (1.0 / p)
+    redo = np.flatnonzero((total == np.inf) | (total < np.finfo(float).tiny))
+    if redo.size:
+        peak = np.where(live[redo], a[redo], 0.0).max(axis=1)
+        redo, peak = redo[peak > 0], peak[peak > 0, None]  # a row of zeros stays 0
+        a, m, live = a[redo], m[redo], live[redo]
+        out[redo] = peak[:, 0] * np.einsum(
+            "ij,ij->i", (np.where(live, a, 0.0) / peak) ** p, m) ** (1.0 / p)
     return out
 
 
@@ -188,6 +193,43 @@ def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
         return root - band, root + band
 
 
+def _checked(blocks, rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(|values|, masses normalized per row) of each checked block."""
+    if not rtol > 4.0 * _EPS:
+        raise ValueError("rtol must exceed the float spacing")
+    rows = []
+    for values, masses in blocks:
+        a = np.abs(np.asarray(values, dtype=float))
+        m = np.asarray(masses, dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(m).all()):
+            raise ValueError("non-finite values or masses")
+        total = m.sum(axis=1)
+        if np.any(total <= 0):
+            raise ValueError("degenerate measure")
+        rows.append((a, m / total[:, None]))
+    return rows
+
+
+def _live_bands(rows, phi: YoungFunction):
+    """Per checked block, the mask of rows where a positive value carries
+    mass, those rows and their count; and the rows' root bands."""
+    pos = [(a > 0) & (m > 0) for a, m in rows]  # the cells Phi sees
+    lives = [p.any(axis=1) for p in pos]
+    # copy only the blocks with dead rows: the batch holds every level's cells
+    rows = [(a, m) if live.all() else (a[live], m[live]) for (a, m), live in zip(rows, lives)]
+    pos = [p if live.all() else p[live] for p, live in zip(pos, lives)]
+    count = np.array([len(a) for a, _ in rows], dtype=int)
+    if not count.any():
+        return lives, rows, count, np.zeros(0), np.zeros(0)
+    first = np.cumsum(count) - count
+    bottom, top = _locate_roots(
+        np.concatenate([a[p] for (a, _), p in zip(rows, pos)]),
+        np.concatenate([m[p] for (_, m), p in zip(rows, pos)]),
+        np.concatenate([np.nonzero(p)[0] + f for p, f in zip(pos, first)]),
+        int(count.sum()), phi)
+    return lives, rows, count, bottom, top
+
+
 def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
     """Luxemburg gauge of sampled |values| against normalized masses for
@@ -195,8 +237,8 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     value per row, block after block.
 
     Power kinds take the closed form (the gauge equals the p-average over
-    the cells of positive mass; rows whose |values|^p overflow are
-    rescaled by their peak).
+    the cells of positive mass; rows whose p-sum overflows or underflows
+    are rescaled by their peak).
     Other kinds bracket each row by doubling and halving from its peak,
     then bisect each block's rows together until every relative bracket
     width in the block is under rtol (so a row can come out tighter than
@@ -217,35 +259,15 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     every value is bit-identical to bisecting each block on its own, and
     a block's values depend only on its own rows.
     """
-    if not rtol > 4.0 * _EPS:
-        raise ValueError("rtol must exceed the float spacing")
-    rows = []
-    for values, masses in blocks:
-        a = np.abs(np.asarray(values, dtype=float))
-        m = np.asarray(masses, dtype=float)
-        if not (np.isfinite(a).all() and np.isfinite(m).all()):
-            raise ValueError("non-finite values or masses")
-        total = m.sum(axis=1)
-        if np.any(total <= 0):
-            raise ValueError("degenerate measure")
-        rows.append((a, m / total[:, None]))
+    rows = _checked(blocks, rtol)
     if phi.kind == "power":
         return np.concatenate([np.zeros(0)] + [_p_means(a, m, phi.exponent) for a, m in rows])
-    pos = [(a > 0) & (m > 0) for a, m in rows]  # the cells Phi sees
-    lives = [p.any(axis=1) for p in pos]
+    lives, rows, count, bottom, top = _live_bands(rows, phi)
     out = np.zeros(sum(len(live) for live in lives))
-    rows = [(a[live], m[live]) for (a, m), live in zip(rows, lives)]
-    pos = [p[live] for p, live in zip(pos, lives)]
-    count = np.array([len(a) for a, _ in rows], dtype=int)
     if not count.any():
         return out
     first = np.cumsum(count) - count  # each block's first row
     blk = np.repeat(np.arange(len(rows)), count)
-    bottom, top = _locate_roots(
-        np.concatenate([a[p] for (a, _), p in zip(rows, pos)]),
-        np.concatenate([m[p] for (_, m), p in zip(rows, pos)]),
-        np.concatenate([np.nonzero(p)[0] + f for p, f in zip(pos, first)]),
-        int(count.sum()), phi)
 
     def test(lam, ids, bottom, top, bracket=None):
         # means(lam) <= 1 for the rows ids, read off the roots outside
@@ -301,6 +323,23 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
         lo_w = np.where(ok, lo_w, mid)
     out[np.concatenate(lives)] = np.where(dead, 0.0, hi)
     return out
+
+
+def luxemburg_norm_max(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                       phi: YoungFunction, rtol: float = 1e-13) -> float:
+    """luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0), bit for
+    bit, bisecting only the blocks with a row whose top / (1 - 2 rtol) (2
+    rtol covering rounding) reaches the largest bottom, or whose bracket
+    could double past the float range: no other block holds the maximum."""
+    blocks = list(blocks)
+    if phi.kind != "power":
+        count, bottom, top = _live_bands(_checked(blocks, rtol), phi)[2:]
+        held = np.flatnonzero(count)
+        reach = np.maximum.reduceat(top, (np.cumsum(count) - count)[held])
+        # fmax skips the NaN bottoms of rows whose sum of m a overflows
+        floor = min(np.fmax.reduce(bottom, initial=-np.inf), 2.0 ** 1023) * (1.0 - 2.0 * rtol)
+        blocks = [blocks[b] for b in held[reach >= floor]]
+    return float(luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0))
 
 
 def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction,

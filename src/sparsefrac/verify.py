@@ -37,7 +37,7 @@ from .operators import (
     sparse_fractional_integral,
     weighted_orlicz_fractional_maximal,
 )
-from .orlicz import EXPM1, LLOG, POWER1, YoungFunction, luxemburg_norm_blocks
+from .orlicz import EXPM1, LLOG, POWER1, YoungFunction, luxemburg_norm_max
 from .sparse import certify_sparse, sparse_select_for_operator
 from .weights import (
     CubeBattery,
@@ -606,7 +606,7 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
                  for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
                                                           ws.battery.overlap_rows(sigma))
                  if len(vals)]  # a level with no cube inside the root box has no rows
-        return float(luxemburg_norm_blocks(parts, EXPM1).max(initial=0.0))
+        return luxemburg_norm_max(parts, EXPM1)
     lhs = _shared("oscillation_gauge", (b, sigma), (ws.battery,), oscillation_gauge)
     rhs = ainf * bmo
     report = _base_report(

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import sparsefrac
-from sparsefrac import operators, verify
+from sparsefrac import config, operators, verify
 from sparsefrac.cli import main
 from sparsefrac.config import ConfigError, load_config
 from sparsefrac.grid import read_gridfunction
@@ -176,6 +177,34 @@ class TestVerify:
         result = runner.invoke(main, ["char", "--config", str(path)])
         assert result.exit_code == 2
         assert "line" in result.output
+
+    def test_loaders_agree(self, tmp_path, monkeypatch):
+        # the sample config and a battery-shaped one load to the same dicts
+        # through libyaml's parser and through the pure-Python one, and a
+        # syntax error is marked at the same place
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        battery = tmp_path / "battery.yaml"
+        battery.write_text(yaml.safe_dump({
+            "run": {"depth": 10, "battery_depth": 5, "out": str(tmp_path / "out"),
+                    "format": "csv", "jobs": 1},
+            "domain": {"dimension": 1, "origin": [0.0], "side": 1.0},
+            "exponents": {"alpha": 1.0 / 3.0, "p": 2.0},
+            "weight": {"kind": "power", "gamma": -0.15, "x0": "third"},
+            "commutator": {"b": "logdist", "x0": "third"},
+            "verify": {"theorems": list(verify.THEOREMS), "gammas": 2},
+        }, sort_keys=True))
+        broken = tmp_path / "broken.yaml"
+        broken.write_text("exponents:\n  alpha: [unclosed\n")
+        paths = [Path(__file__).resolve().parents[1] / "sample-config.yaml", battery]
+        loaded = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(config, "_LOADER", loader)
+            loaded.append([load_config(path) for path in paths])
+            with pytest.raises(ConfigError, match="at line 3, column 1"):  # the stream end
+                load_config(broken)
+        assert loaded[0] == loaded[1]
+        assert loaded[0][1]["exponents"]["alpha"] == 1.0 / 3.0
 
     def test_p1_rejected_for_strong(self, runner, tmp_path):
         path = tmp_path / "p1.yaml"

@@ -19,6 +19,7 @@ from sparsefrac.orlicz import (
     luxemburg_norm,
     luxemburg_norm_arrays,
     luxemburg_norm_blocks,
+    luxemburg_norm_max,
     norm_sandwich_check,
 )
 
@@ -29,6 +30,15 @@ BOX = ([0.0], [1.0])
 
 def unit_sigma(root1, depth=8):
     return GridFunction.constant(root1, depth, 1.0)
+
+
+def mp_p_mean(values, masses, p):
+    """(sum m |v|^p / sum m)^(1/p) of one row in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        m = [mpmath.mpf(float(w)) for w in masses]
+        total = mpmath.fsum(w * abs(mpmath.mpf(float(v))) ** p for v, w in zip(values, m))
+        return float((total / mpmath.fsum(m)) ** (1 / p))
 
 
 class TestYoungFunctions:
@@ -219,11 +229,39 @@ class TestBatchedGauge:
     def test_equals_per_block_bisection(self, phi, specs, data):
         blocks = [gauge_block(*spec, phi) for spec in specs]
         ref = [bisect_blocks(vals, mass, phi) for vals, mass in blocks]
-        assert np.array_equal(luxemburg_norm_blocks(blocks, phi), np.concatenate(ref))
+        # the oracle's power branch sums m a^p, which underflows on floor
+        # rows: those are held to their 40-digit p-mean, every other row
+        # to the oracle's bits
+        floor = [np.array([kind == "floor" and phi.kind == "power" for kind in kinds])
+                 for *_, kinds in specs]
+        for r, (vals, mass), f in zip(ref, blocks, floor):
+            r[f] = [mp_p_mean(v, m, phi.exponent) for v, m in zip(vals[f], mass[f])]
         order = list(reversed(range(len(blocks)))) if data is None else \
             data.draw(st.permutations(range(len(blocks))))
-        got = luxemburg_norm_blocks([blocks[i] for i in order], phi)
-        assert np.array_equal(got, np.concatenate([ref[i] for i in order]))
+        for perm in (range(len(blocks)), order):
+            got = luxemburg_norm_blocks([blocks[i] for i in perm], phi)
+            want = np.concatenate([np.zeros(0)] + [ref[i] for i in perm])
+            f = np.concatenate([np.zeros(0, dtype=bool)] + [floor[i] for i in perm])
+            assert np.array_equal(got[~f], want[~f])
+            assert got[f] == pytest.approx(want[f], rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(KINDS),
+           st.lists(st.tuples(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+                              st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5)),
+                    max_size=12),
+           st.randoms(use_true_random=False))
+    @example(EXPM1, [(6, 1, ["guard"] * 5), (3, 2, ["plain", "guard"])], None)
+    @example(LLOG, [(9, 5, ["floor"] * 4), (2, 3, ["wide", "plain"]), (4, 7, ["massless"])], None)
+    def test_max_equals_full_call(self, phi, specs, rnd):
+        # the max path bisects only the blocks that can hold the maximum
+        # and returns the full call's maximum, bit for bit, in any order
+        blocks = [gauge_block(*spec, phi) for spec in specs]
+        if rnd is not None:
+            rnd.shuffle(blocks)
+        want = luxemburg_norm_blocks(blocks, phi).max(initial=0.0)
+        got = luxemburg_norm_max(iter(blocks), phi)
+        assert type(got) is float and got == want
 
     @pytest.mark.parametrize("phi", [LLOG, EXPM1])
     def test_roots_settle_most_tests(self, phi, monkeypatch):
@@ -260,10 +298,69 @@ class TestBatchedGauge:
                                    for v, w in zip(vals[0], m[0])) / float(m.sum())
                 assert value == pytest.approx(float(mean ** (1 / p)), rel=1e-13)
 
+    def test_power_kind_under_float_range(self):
+        # 1e-150^2.5 underflows to 0 although the p-average is 1e-150; a
+        # huge value on a cell of no mass must not count, and down to
+        # where the values themselves are subnormal each row keeps its
+        # p-average to 1e-13
+        phi = YoungFunction("power", 2.5)
+        vals = np.array([[1e-150, 1e-150], [1e-150, 1e200], [0.0, 0.0]])
+        mass = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        got = luxemburg_norm_blocks([(vals, mass)], phi)
+        assert got[0] == pytest.approx(1e-150, rel=1e-13)
+        assert got[1] == pytest.approx(1e-150, rel=1e-13) and got[2] == 0.0
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** np.linspace(-160.0, -100.0, 25)[:, None]
+        vals = scale * rng.uniform(0.1, 10.0, (25, 6))
+        mass = rng.uniform(0.0, 2.0, (25, 6))
+        for p in (1.0, 2.5, 3.0):
+            got = luxemburg_norm_blocks([(vals, mass)], YoungFunction("power", p))
+            want = [mp_p_mean(v, m, p) for v, m in zip(vals, mass)]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_empty_input(self):
         for phi in (LLOG, POWER1):
             assert luxemburg_norm_blocks([], phi).shape == (0,)
             assert luxemburg_norm_blocks([(np.ones((0, 3)), np.ones((0, 3)))], phi).shape == (0,)
+
+    def test_max_of_nothing_is_zero(self):
+        # no block, empty blocks, and blocks whose every row gauges 0 (no
+        # positive value on mass, or a root under the 1e-300 floor)
+        dead = [(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 1.0]])),
+                (np.array([[1e-305, 0.0]]), np.ones((1, 2)))]
+        for phi in KINDS:
+            assert luxemburg_norm_max([], phi) == 0.0
+            assert luxemburg_norm_max([(np.ones((0, 3)), np.ones((0, 3)))], phi) == 0.0
+            assert luxemburg_norm_max(dead[:1], phi) == 0.0
+        for phi in (LLOG, EXPM1):
+            assert luxemburg_norm_max(dead, phi) == 0.0
+
+    @pytest.mark.parametrize("phi", KINDS)
+    def test_max_rejects_what_the_full_call_rejects(self, phi):
+        # every block is checked, also those the bands would rule out
+        fine = (np.array([[5.0, 4.0]]), np.ones((1, 2)))
+        cases = [([fine, (np.array([[math.nan, 1.0]]), np.ones((1, 2)))], "non-finite"),
+                 ([fine, (np.ones((1, 2)), np.array([[1.0, math.inf]]))], "non-finite"),
+                 ([fine, (np.ones((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]))], "degenerate")]
+        if phi.kind != "power":  # the closed form needs no bracket
+            cases.append(([fine, (np.full((1, 2), 1.7e308), np.ones((1, 2)))], "overflows"))
+            # sum m a rounds past the float range: a NaN bottom
+            cases.append(([fine, (np.full((1, 3), np.finfo(float).max), np.ones((1, 3)))],
+                          "overflows"))
+        if phi == LLOG:
+            # the first bracket doubles past the float range, although its
+            # band (9.07e307) lies under the second block's (9.86e307)
+            cases.append(([(np.array([[2.0 ** 1023, 0.0]]), np.array([[0.77, 0.23]])),
+                           (np.array([[1.2e308, 1e300]]), np.array([[0.6, 0.4]]))], "overflows"))
+        for blocks, match in cases:
+            for order in (blocks, blocks[::-1]):
+                with pytest.raises(ValueError, match=match):
+                    luxemburg_norm_blocks(order, phi)
+                with pytest.raises(ValueError, match=match):
+                    luxemburg_norm_max(order, phi)
+        for rtol in (1e-17, 4.0 * np.finfo(float).eps):
+            with pytest.raises(ValueError, match="rtol"):
+                luxemburg_norm_max([fine], phi, rtol=rtol)
 
 
 class TestAmemiya:

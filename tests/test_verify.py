@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sparsefrac import operators, verify
+from sparsefrac import operators, orlicz, verify
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import dyadic_fractional_maximal
 from sparsefrac.weights import ExponentTriple
@@ -246,9 +246,9 @@ class TestBatchedGauge:
         (ExponentTriple(2, 0.8, 2.0), 4, 3),
     ])
     def test_reports_equal_per_level_bisection(self, e, depth, battery_depth, monkeypatch):
-        # the oscillation bound (every grid's battery levels in one gauge
-        # call) and the summation lemma (every level in one call) report
-        # exactly what one bisection per level reports
+        # the oscillation bound (every grid's battery levels in one max-only
+        # gauge call) and the summation lemma (every level in one call)
+        # report exactly what one bisection per level reports
         root = RootBox((0.0,) * e.n, 1.0)
         weight = WeightSpec("power", 0.3, "third")
         cases = [
@@ -259,11 +259,27 @@ class TestBatchedGauge:
                      None, phi="llog", depth=depth, battery_depth=battery_depth, root=root),
         ]
         got = [verify_wtd_bmo(cases[0])[0], verify_summation_lemma(cases[1])[0]]
-        monkeypatch.setattr(verify, "luxemburg_norm_blocks", per_block_gauge)
+        monkeypatch.setattr(verify, "luxemburg_norm_max",
+                            lambda blocks, phi: float(per_block_gauge(blocks, phi).max(initial=0.0)))
         monkeypatch.setattr(operators, "luxemburg_norm_blocks", per_block_gauge)
         ref = [verify_wtd_bmo(cases[0])[0], verify_summation_lemma(cases[1])[0]]
         assert got == ref
         assert all(r.lhs > 0 for r in got)
+
+    def test_max_gauge_bisects_one_level(self, monkeypatch):
+        # at (n, K, battery depth) = (1, 10, 5) the root bands rule out all
+        # but one battery level in each of the four distinct oscillation
+        # gauges, so one block per gauge reaches the bisection
+        blocks = []
+        full = orlicz.luxemburg_norm_blocks
+
+        def counted(parts, phi, rtol=1e-13):
+            blocks.append(len(parts))
+            return full(parts, phi, rtol)
+
+        monkeypatch.setattr(orlicz, "luxemburg_norm_blocks", counted)
+        run_battery("weighted_bmo", E_THIRD, depth=10, battery_depth=5, gammas=2)
+        assert blocks == [1] * 4
 
 
 class TestDualityCubes:
