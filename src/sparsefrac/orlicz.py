@@ -317,7 +317,7 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
             starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
             if not w.size:
                 break
-        mid = 0.5 * (lo_w + hi_w)
+        mid = 0.5 * lo_w + 0.5 * hi_w  # no overflow near the float maximum
         ok = test(mid, w, bottom_w, top_w, (lo_w, hi_w))
         hi_w = np.where(ok, mid, hi_w)
         lo_w = np.where(ok, lo_w, mid)

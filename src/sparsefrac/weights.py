@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,55 +403,87 @@ def _power_cell_average_1d(a: float, b: float, x0: float, gamma: float) -> float
     return (anti(b - x0) - anti(a - x0)) / (b - a)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# numpy.polynomial.legendre.leggauss(6), written out: no numpy.polynomial import
+_GL_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                      0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GL_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                        0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
+# child c = 2 i + j of a split box: lower half of axis 0 iff i = 0, of axis 1 iff j = 0
+_LOWER_HALF = np.array([[True, True], [True, False], [False, True], [False, False]])
 
 
 def _power_cell_average_2d(lo, hi, x0, gamma, tol=1e-10):
     """Average of |x - x0|^gamma over a rectangle containing the singularity.
 
-    Recursive dyadic refinement toward x0: boxes well separated from x0
-    get tensor Gauss-Legendre, the rest are split, and the ball around x0
-    is closed with the exact radial bound once its contribution is below
-    tolerance.  gamma > -2 keeps everything integrable.
+    Dyadic refinement toward x0: boxes at least their diagonal away from x0
+    get 6x6 tensor Gauss-Legendre, the rest are split, and the ball around
+    x0 is closed with the exact radial bound once its contribution is below
+    tol times the running sum, or at depth 48.  About 1e-9 relative for
+    gamma >= -1.2; nearer -2 the depth cap's ball bound dominates.  gamma >
+    -2 keeps everything integrable.
+
+    One array pass per depth builds its boxes, with their diagonals,
+    distances to x0 and Gauss sums, when a box of the depth above is first
+    split; a depth-first replay on those floats adds up the running sum in
+    the recursive form's order, bit for bit.
     """
     if gamma <= -2:
         raise ValueError("gamma must exceed -2 for an integrable 2-d weight")
     x0 = np.asarray(x0, dtype=float)
 
-    def gauss(b_lo, b_hi):
-        mid = 0.5 * (b_lo + b_hi)
-        half = 0.5 * (b_hi - b_lo)
-        xs = mid[0] + half[0] * _GL_NODES
-        ys = mid[1] + half[1] * _GL_NODES
-        dx = xs[:, None] - x0[0]
-        dy = ys[None, :] - x0[1]
-        vals = (dx * dx + dy * dy) ** (gamma / 2.0)
-        wts = _GL_WEIGHTS[:, None] * _GL_WEIGHTS[None, :]
-        return float((vals * wts).sum() * half[0] * half[1])
+    def norms(v):
+        # sqrt of a BLAS dot per row, the bits np.linalg.norm gives a 2-vector
+        return np.sqrt(v[:, None, :] @ v[:, :, None]).ravel()
 
-    total_vol = float(np.prod(np.asarray(hi) - np.asarray(lo)))
+    def level(b_lo, b_hi):
+        """(diagonal, distance to x0, Gauss sum, first child) per box as
+        lists, and the children of the boxes nearer x0 than their diagonal."""
+        diam = norms(b_hi - b_lo)
+        d = norms(np.clip(x0, b_lo, b_hi) - x0)
+        split = d < diam
+        # only the boxes that can use a Gauss sum: at gamma < 0 one holding
+        # x0 gives inf, as does one below the float spacing (zero diagonal)
+        # with x0 on it, whose NaN is reported below if the replay reaches it
+        use = ~split if gamma < 0 else np.ones(len(d), dtype=bool)
+        g_lo, g_hi = b_lo[use], b_hi[use]
+        mid, half = 0.5 * (g_lo + g_hi), 0.5 * (g_hi - g_lo)
+        dx = (mid[:, :1] + half[:, :1] * _GL_NODES)[:, :, None] - x0[0]
+        dy = (mid[:, 1:] + half[:, 1:] * _GL_NODES)[:, None, :] - x0[1]
+        gsum = np.zeros(len(d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (dx * dx + dy * dy) ** (gamma / 2.0)
+            wts = _GL_WEIGHTS[:, None] * _GL_WEIGHTS[None, :]
+            gsum[use] = (vals * wts).reshape(-1, 36).sum(axis=1) * half[:, 0] * half[:, 1]
+        s_lo, s_hi = b_lo[split, None], b_hi[split, None]
+        mid = 0.5 * (s_lo + s_hi)
+        kids = (np.where(_LOWER_HALF, s_lo, mid).reshape(-1, 2),
+                np.where(_LOWER_HALF, mid, s_hi).reshape(-1, 2))
+        first = 4 * (np.cumsum(split) - 1)
+        return diam.tolist(), d.tolist(), gsum.tolist(), first.tolist(), kids
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    total_vol = float(np.prod(hi - lo))
+    levels = [level(lo[None], hi[None])]
     acc = 0.0
-    stack = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), 0)]
+    stack = [(0, 0)]
     while stack:
-        b_lo, b_hi, depth = stack.pop()
-        diam = float(np.linalg.norm(b_hi - b_lo))
-        d = float(np.linalg.norm(np.clip(x0, b_lo, b_hi) - x0))
-        if d >= diam:
-            acc += gauss(b_lo, b_hi)
+        depth, i = stack.pop()
+        diams, dists, gsums, firsts, kids = levels[depth]
+        diam = diams[i]
+        if dists[i] >= diam:
+            acc += gsums[i]
             continue
         # ball bound: integral over the box is under the full radial integral
         ball = 2.0 * math.pi * diam ** (gamma + 2.0) / (gamma + 2.0)
         if depth >= 48 or ball < tol * max(abs(acc), 1e-300):
-            acc += ball if gamma < 0 else gauss(b_lo, b_hi)
+            acc += ball if gamma < 0 else gsums[i]
             continue
-        mid = 0.5 * (b_lo + b_hi)
-        for i in range(2):
-            for j in range(2):
-                s_lo = np.array([b_lo[0] if i == 0 else mid[0],
-                                 b_lo[1] if j == 0 else mid[1]])
-                s_hi = np.array([mid[0] if i == 0 else b_hi[0],
-                                 mid[1] if j == 0 else b_hi[1]])
-                stack.append((s_lo, s_hi, depth + 1))
+        if depth + 1 == len(levels):
+            levels.append(level(*kids))
+        # children pushed (0, 0) first, so (1, 1) pops first
+        stack += [(depth + 1, firsts[i] + c) for c in range(4)]
+    if not math.isfinite(acc):
+        warnings.warn("quadrature met a box below the float spacing", RuntimeWarning)
     return acc / total_vol
 
 

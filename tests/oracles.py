@@ -7,9 +7,11 @@ paths they check.  The exceptions are the library's former per-cube
 paths, dyadic_commutator_naive and the sparse machinery at the end: they
 find a cube's cells with cells_in_cube and average with box_overlap or the
 scalar box_integral, so the level sweeps they check must reproduce the
-sparse ones bit for bit; and dyadic_commutator_blocks, the commutator's
+sparse ones bit for bit; dyadic_commutator_blocks, the commutator's
 former per-(b, f) block form on the library's level gather, which the
-planned commutator must reproduce bit for bit.
+planned commutator must reproduce bit for bit; and
+power_cell_average_2d_recursive, the former recursive power-weight
+quadrature, which the level-batched one must reproduce bit for bit.
 """
 
 import math
@@ -114,7 +116,7 @@ def _bisect_gauge(a: np.ndarray, m: np.ndarray, phi: YoungFunction, rtol: float)
         if lo < 1e-300:
             return 0.0
     while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mean(mid) <= 1.0:
             hi = mid
         else:
@@ -175,7 +177,7 @@ def bisect_blocks(values: np.ndarray, masses: np.ndarray,
         lo[down] *= 0.5
         dead |= lo < 1e-300
     while ((hi - lo > rtol * hi) & ~dead).any():
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         ok = means(mid) <= 1.0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
@@ -204,6 +206,82 @@ def naive_luxemburg(values, masses, phi: YoungFunction, rtol: float = 1e-13) -> 
     if phi.kind == "power":
         return float((a ** phi.exponent @ m) ** (1.0 / phi.exponent))
     return _bisect_gauge(a, m, phi, rtol)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+
+
+def power_cell_average_2d_recursive(lo, hi, x0, gamma, tol=1e-10):
+    """The library's former recursive 2-d power-weight cell average,
+    unchanged: the level-batched weights._power_cell_average_2d must
+    reproduce it bit for bit.
+
+    Recursive dyadic refinement toward x0: boxes well separated from x0
+    get tensor Gauss-Legendre, the rest are split, and the ball around x0
+    is closed with the exact radial bound once its contribution is below
+    tolerance.  gamma > -2 keeps everything integrable.
+    """
+    if gamma <= -2:
+        raise ValueError("gamma must exceed -2 for an integrable 2-d weight")
+    x0 = np.asarray(x0, dtype=float)
+
+    def gauss(b_lo, b_hi):
+        mid = 0.5 * (b_lo + b_hi)
+        half = 0.5 * (b_hi - b_lo)
+        xs = mid[0] + half[0] * _GL_NODES
+        ys = mid[1] + half[1] * _GL_NODES
+        dx = xs[:, None] - x0[0]
+        dy = ys[None, :] - x0[1]
+        vals = (dx * dx + dy * dy) ** (gamma / 2.0)
+        wts = _GL_WEIGHTS[:, None] * _GL_WEIGHTS[None, :]
+        return float((vals * wts).sum() * half[0] * half[1])
+
+    total_vol = float(np.prod(np.asarray(hi) - np.asarray(lo)))
+    acc = 0.0
+    stack = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), 0)]
+    while stack:
+        b_lo, b_hi, depth = stack.pop()
+        diam = float(np.linalg.norm(b_hi - b_lo))
+        d = float(np.linalg.norm(np.clip(x0, b_lo, b_hi) - x0))
+        if d >= diam:
+            acc += gauss(b_lo, b_hi)
+            continue
+        # ball bound: integral over the box is under the full radial integral
+        ball = 2.0 * math.pi * diam ** (gamma + 2.0) / (gamma + 2.0)
+        if depth >= 48 or ball < tol * max(abs(acc), 1e-300):
+            acc += ball if gamma < 0 else gauss(b_lo, b_hi)
+            continue
+        mid = 0.5 * (b_lo + b_hi)
+        for i in range(2):
+            for j in range(2):
+                s_lo = np.array([b_lo[0] if i == 0 else mid[0],
+                                 b_lo[1] if j == 0 else mid[1]])
+                s_hi = np.array([mid[0] if i == 0 else b_hi[0],
+                                 mid[1] if j == 0 else b_hi[1]])
+                stack.append((s_lo, s_hi, depth + 1))
+    return acc / total_vol
+
+
+def power_cell_average_2d_mp(lo, hi, x0, gamma, dps: int = 30):
+    """Average of |x - x0|^gamma over the rectangle [lo, hi] holding x0,
+    in dps-digit arithmetic.  x0 cuts the rectangle into at most four with
+    x0 at a corner; one with sides a, b integrates in polar form as the
+    integral of (a / cos phi)^(gamma + 2) / (gamma + 2) over phi up to
+    atan(b / a) plus that of (b / sin phi)^(gamma + 2) / (gamma + 2) above."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g2 = mpmath.mpf(gamma) + 2
+        lo, hi, x0 = ([mpmath.mpf(float(v)) for v in u] for u in (lo, hi, x0))
+        total = mpmath.mpf(0)
+        for a in (x0[0] - lo[0], hi[0] - x0[0]):
+            for b in (x0[1] - lo[1], hi[1] - x0[1]):
+                if a > 0 and b > 0:
+                    split = mpmath.atan(b / a)
+                    total += mpmath.quad(lambda phi: (a / mpmath.cos(phi)) ** g2, [0, split])
+                    total += mpmath.quad(lambda phi: (b / mpmath.sin(phi)) ** g2,
+                                         [split, mpmath.pi / 2])
+        return float(total / g2 / ((hi[0] - lo[0]) * (hi[1] - lo[1])))
 
 
 def riesz_centres_mp(f: GridFunction, alpha: float, dps: int = 40, points=None):

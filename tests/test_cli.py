@@ -308,13 +308,24 @@ class TestEnvOverrides:
         assert gf.depth == 5
 
 
+def loaded_after_import(module: str, names) -> str:
+    """Which of names a fresh interpreter has loaded after importing module."""
+    src = str(Path(sparsefrac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, {module}; print([m for m in {tuple(names)!r} if m in sys.modules])"
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return got.stdout.strip()
+
+
 def test_import_footprint():
     # hashlib loads OpenSSL and scipy is large; every run and the benchmark's
     # set-up import the CLI, which needs neither
-    src = str(Path(sparsefrac.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, sparsefrac.cli; "
-            "print([m for m in ('hashlib', '_hashlib', 'scipy') if m in sys.modules])")
-    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert got.stdout.strip() == "[]"
+    assert loaded_after_import("sparsefrac.cli", ("hashlib", "_hashlib", "scipy")) == "[]"
+
+
+def test_library_import_footprint():
+    # the library alone needs no CLI, config parser or numpy.polynomial (the
+    # Gauss-Legendre rule is written out): each costs every worker set-up time
+    names = ("numpy.polynomial", "scipy", "yaml", "click")
+    assert loaded_after_import("sparsefrac", names) == "[]"

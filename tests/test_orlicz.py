@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -174,6 +175,27 @@ class TestLuxemburg:
             luxemburg_norm_blocks([(np.full((1, 2), 1.7e308), np.ones((1, 2)))], LLOG)
         with pytest.raises(ValueError, match="rtol"):
             luxemburg_norm_blocks([(np.ones((1, 2)), np.ones((1, 2)))], LLOG, rtol=1e-17)
+
+    @pytest.mark.parametrize("row", [[1.79e308, 0.0], [1.2e308, 1e300]])
+    def test_bisection_near_the_float_maximum(self, row):
+        # lo + hi passes the float maximum here: the midpoint is taken as
+        # 0.5 lo + 0.5 hi, which keeps every other value's bits
+        vals, mass = np.array([row]), np.array([[0.6, 0.4]])
+        with mpmath.workdps(50):
+            a = [mpmath.mpf(v) for v in row]
+            w = [mpmath.mpf(m) / mpmath.fsum(mass[0]) for m in mass[0]]
+            exact = mpmath.findroot(
+                lambda lam: mpmath.fsum(m * (v / lam) * mpmath.log(mpmath.e + v / lam)
+                                        for v, m in zip(a, w)) - 1,
+                (a[0] / 100, a[0] * 100), solver="anderson")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [luxemburg_norm_blocks([(vals, mass)], LLOG)[0],
+                   luxemburg_norm_max([(vals, mass)], LLOG),
+                   bisect_blocks(vals, mass, LLOG)[0],
+                   naive_luxemburg(row, mass[0], LLOG)]
+        for g in got:
+            assert abs(g - exact) <= 1e-12 * exact
 
     def test_shifted_cube_box(self, root1):
         # a box cutting cells still gives overlap-exact samples

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sparsefrac import weights
 from sparsefrac.grid import DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.weights import (
     RH_CAP,
@@ -22,8 +26,13 @@ from sparsefrac.weights import (
     weighted_average,
     weighted_measure,
 )
+from sparsefrac.verify import sweep_gammas
 
-from .oracles import naive_box_integral
+from .oracles import (
+    naive_box_integral,
+    power_cell_average_2d_mp,
+    power_cell_average_2d_recursive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +401,78 @@ class TestPowerWeightDiscretization:
         coarse = _power_cell_average_2d(lo, hi, x0, -0.7, tol=1e-10)
         fine = _power_cell_average_2d(lo, hi, x0, -0.7, tol=1e-13)
         assert coarse == pytest.approx(fine, rel=1e-9)
+
+    def test_gauss_legendre_literals(self):
+        nodes, wts = np.polynomial.legendre.leggauss(6)
+        assert np.array_equal(weights._GL_NODES, nodes)
+        assert np.array_equal(weights._GL_WEIGHTS, wts)
+
+    @pytest.mark.parametrize("depth", [5, 8])
+    @pytest.mark.parametrize("x0", [(1 / 3, 1 / 3), (0.5, 0.5), (0.4121940127942285, 0.5911602856139894)])
+    def test_2d_cell_average_against_polar_form(self, depth, x0):
+        # about 1e-9 relative for gamma >= -1.2, as the docstring states
+        h = 2.0 ** -depth
+        lo = tuple(math.floor(v / h) * h for v in x0)
+        hi = (lo[0] + h, lo[1] + h)
+        for gamma in (-1.2, -0.7, -0.2, 0.3, 0.9):
+            exact = power_cell_average_2d_mp(lo, hi, x0, gamma)
+            got = weights._power_cell_average_2d(lo, hi, x0, gamma)
+            assert abs(got - exact) <= 2e-9 * exact
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(-1.95, 2.5, exclude_min=True, exclude_max=True),
+           st.sampled_from([1e-10, 1e-13]),
+           st.integers(2, 8),
+           st.sampled_from([1.0, 0.7]),
+           st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+           st.sampled_from(["interior", "edge", "vertex", "centre"]),
+           st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    # x0 on the corner 0.5 of a K = 8 cell below it: boxes under the float
+    # spacing, NaN; and x0 near 1/3 at gamma = -1.9, the depth cap
+    @example(-0.8, 1e-10, 8, 1.0, (0.499, 0.499), "vertex", (1.0, 1.0))
+    @example(-1.9, 1e-13, 5, 1.0, (0.32, 0.32), "interior", (2 / 3, 2 / 3))
+    def test_2d_cell_average_equals_recursion(self, gamma, tol, depth, side, corner, where, t):
+        # the level-batched quadrature adds the recursive form's floats in
+        # its order: equal bits, NaN (and a warning) where it gives NaN.
+        # Cells of a root box of the given side: 0.7 makes the sides inexact
+        h = side * 2.0 ** -depth
+        lo = tuple(math.floor(c * side / h) * h for c in corner)
+        hi = (lo[0] + h, lo[1] + h)
+        x0 = {"interior": (lo[0] + t[0] * h, lo[1] + t[1] * h),
+              "edge": (lo[0] + t[0] * h, hi[1] if t[1] > 0.5 else lo[1]),
+              "vertex": (hi[0] if t[0] > 0.5 else lo[0], hi[1] if t[1] > 0.5 else lo[1]),
+              "centre": (lo[0] + 0.5 * h, lo[1] + 0.5 * h)}[where]
+        got = []
+        for quad in (weights._power_cell_average_2d, power_cell_average_2d_recursive):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got.append((quad(lo, hi, x0, gamma, tol), bool(seen)))
+        (new, new_warned), (old, old_warned) = got
+        assert new == old or (math.isnan(new) and math.isnan(old))
+        assert new_warned == old_warned == math.isnan(old)
+
+    def test_power_weight_equals_recursion_on_benchmark_inputs(self, root2, monkeypatch):
+        # the 2-d family-ops weights of seeds 0-63 (n = 2, K = 5, (0.8, 2))
+        # and the battery-2d weights (K = 6, x0 'third', 3 gammas per pair)
+        cases = []
+        lo, hi = admissible_gamma_range(ExponentTriple(2, 0.8, 2.0))
+        for seed in range(64):
+            rng = np.random.default_rng([seed, 2])
+            gamma = float(rng.uniform(0.9 * lo, 0.9 * hi))
+            cases.append((5, gamma, tuple(float(v) for v in rng.uniform(0.05, 0.95, 2))))
+        for alpha, p in ((0.8, 2.0), (1.2, 1.5)):
+            cases += [(6, g, "third") for g in sweep_gammas(ExponentTriple(2, alpha, p), 3)]
+        new = [power_weight(root2, *case).base.cells for case in cases]
+        monkeypatch.setattr(weights, "_power_cell_average_2d", power_cell_average_2d_recursive)
+        for case, cells in zip(cases, new):
+            assert np.array_equal(cells, power_weight(root2, *case).base.cells), case
+
+    @pytest.mark.parametrize("gamma", [-2.0, -2.5])
+    def test_2d_gamma_at_most_minus_two_raises(self, root2, gamma):
+        with pytest.raises(ValueError, match="exceed -2"):
+            weights._power_cell_average_2d((0.0, 0.0), (0.25, 0.25), (0.1, 0.1), gamma)
+        with pytest.raises(ValueError, match="exceed -2"):
+            power_weight(root2, 4, gamma, "third")
 
     def test_weight_requires_positive(self, root1):
         with pytest.raises(ValueError):
