@@ -14,7 +14,7 @@ centers it holds, so outputs are cellwise values at cell centers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class OperatorOutput:
     values: GridFunction
     operator: str
     grid_id: int | None = None
-    params: dict = field(default_factory=dict)
     cube_visits: int = 0
 
     @property
@@ -92,10 +91,7 @@ def dyadic_fractional_integral(
         avg, nv = _level_cell_info(f, family, grid_id, k)
         out += _size_factor(family, k, alpha) * avg
         visits += nv
-    return OperatorOutput(
-        f.with_cells(out), "dyadic_fractional_integral", grid_id,
-        {"alpha": alpha}, visits,
-    )
+    return OperatorOutput(f.with_cells(out), "dyadic_fractional_integral", grid_id, visits)
 
 
 def sparse_fractional_integral(
@@ -114,10 +110,7 @@ def sparse_fractional_integral(
         np.add.at(per_row, rows, _size_factor(family, k, alpha) * avg)
         out += blocks.spread(per_row)
         visits += len(rows)
-    return OperatorOutput(
-        f.with_cells(out), "sparse_fractional_integral", None,
-        {"alpha": alpha}, visits,
-    )
+    return OperatorOutput(f.with_cells(out), "sparse_fractional_integral", None, visits)
 
 
 def dyadic_fractional_maximal(
@@ -131,10 +124,7 @@ def dyadic_fractional_maximal(
         avg, nv = _level_cell_info(absf, family, grid_id, k)
         np.maximum(out, _size_factor(family, k, alpha) * avg, out=out)
         visits += nv
-    return OperatorOutput(
-        f.with_cells(out), "dyadic_fractional_maximal", grid_id,
-        {"alpha": alpha}, visits,
-    )
+    return OperatorOutput(f.with_cells(out), "dyadic_fractional_maximal", grid_id, visits)
 
 
 def fractional_maximal(
@@ -147,9 +137,7 @@ def fractional_maximal(
         part = dyadic_fractional_maximal(f, alpha, family, g)
         visits += part.cube_visits
         out = part.cells if out is None else np.maximum(out, part.cells)
-    return OperatorOutput(
-        f.with_cells(out), "fractional_maximal", None, {"alpha": alpha}, visits
-    )
+    return OperatorOutput(f.with_cells(out), "fractional_maximal", None, visits)
 
 
 def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
@@ -214,8 +202,7 @@ def weighted_orlicz_fractional_maximal(
         np.maximum(out, blocks.spread(sq ** (alpha / f.n) * norms), out=out)
         visits += int(np.count_nonzero(sq > 0))
     return OperatorOutput(
-        f.with_cells(out), "weighted_orlicz_fractional_maximal", grid_id,
-        {"alpha": alpha, "phi": phi.kind}, visits,
+        f.with_cells(out), "weighted_orlicz_fractional_maximal", grid_id, visits,
     )
 
 
@@ -306,9 +293,7 @@ def riesz_potential_1d(f: GridFunction, alpha: float) -> OperatorOutput:
     point on the same weight form, is the per-point reference.
     """
     vals = _correlate_riesz(_riesz_kernel(f, alpha), f.cells)
-    return OperatorOutput(
-        f.with_cells(vals), "riesz_potential", None, {"alpha": alpha}, 0
-    )
+    return OperatorOutput(f.with_cells(vals), "riesz_potential", None, 0)
 
 
 def commutator_1d(b: GridFunction, f: GridFunction, alpha: float) -> OperatorOutput:
@@ -318,10 +303,7 @@ def commutator_1d(b: GridFunction, f: GridFunction, alpha: float) -> OperatorOut
     d = _riesz_kernel(f, alpha)
     first = _correlate_riesz(d, f.cells)
     second = _correlate_riesz(d, b.cells * f.cells)
-    return OperatorOutput(
-        f.with_cells(b.cells * first - second), "commutator", None,
-        {"alpha": alpha}, 0,
-    )
+    return OperatorOutput(f.with_cells(b.cells * first - second), "commutator", None, 0)
 
 
 # -- dyadic commutator ---------------------------------------------------------
@@ -390,9 +372,7 @@ def dyadic_commutator(
         out += factor * (b.cells * (2.0 * cfm - cfm[:, -1:]).ravel()[split]
                          + (cbm[:, -1:] - 2.0 * cbm).ravel()[split])
         visits += len(fv)
-    return OperatorOutput(
-        f.with_cells(out), "dyadic_commutator", grid_id, {"alpha": alpha}, visits
-    )
+    return OperatorOutput(f.with_cells(out), "dyadic_commutator", grid_id, visits)
 
 
 def bmo_norm(b: GridFunction, battery: CubeBattery) -> float:
@@ -431,8 +411,7 @@ def inner_outer_split(
         elif held.any():
             outer += _size_factor(family, k, alpha) * float(avg[held][0])
     return (
-        OperatorOutput(f.with_cells(inner), "inner_part", cube.grid_id,
-                       {"alpha": alpha, "cube": cube}, 0),
+        OperatorOutput(f.with_cells(inner), "inner_part", cube.grid_id, 0),
         outer,
     )
 

@@ -11,7 +11,8 @@ characteristic is slope-fitted to confirm the stated powers suffice.
 
 Batteries cross a few inputs with several weights and theorems, so a run
 (run_battery, the CLI's verify and sweep) opens a run_scope, in which each
-repeated operator result is computed once per distinct input.
+workspace, weight, function, bump, characteristic and repeated operator
+result is built once and dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -221,8 +222,12 @@ class PartitionDiagnostic:
     level_set_mass: float
 
 
-# -- materialization (cached per root/depth) -----------------------------------
+# -- materialization -------------------------------------------------------------
 
+# The workspaces and weights of the open run scope, by key; emptied when the
+# outermost scope closes.  They are module dicts because perfbench's tracer
+# counts a build as the growth of one during a workspace or
+# materialize_weight call.
 _WEIGHT_CACHE: dict = {}
 _WORKSPACE_CACHE: dict = {}
 
@@ -245,31 +250,22 @@ class Workspace:
 
 
 def workspace(root: RootBox, depth: int, battery_depth: int) -> Workspace:
-    key = (root, depth, battery_depth)
-    got = _WORKSPACE_CACHE.get(key)
-    if got is None:
+    def build():
         family = DyadicGridFamily(root, depth)
-        got = Workspace(root, depth, battery_depth, family,
-                        CubeBattery(family, battery_depth))
-        _WORKSPACE_CACHE[key] = got
-    return got
+        return Workspace(root, depth, battery_depth, family, CubeBattery(family, battery_depth))
+    return _kept(_WORKSPACE_CACHE, "workspace", (root, depth, battery_depth), build)
 
 
 def materialize_weight(spec: WeightSpec, root: RootBox, depth: int) -> Weight:
-    key = (spec, root, depth)
-    got = _WEIGHT_CACHE.get(key)
-    if got is not None:
-        return got
-    if spec.kind == "constant":
-        w = Weight(GridFunction.constant(root, depth, spec.low))
-    elif spec.kind == "power":
-        w = power_weight(root, depth, spec.gamma, spec.x0)
-    elif spec.kind == "step":
-        w = step_weight(root, depth, spec.low, spec.high)
-    else:
+    def build():
+        if spec.kind == "constant":
+            return Weight(GridFunction.constant(root, depth, spec.low))
+        if spec.kind == "power":
+            return power_weight(root, depth, spec.gamma, spec.x0)
+        if spec.kind == "step":
+            return step_weight(root, depth, spec.low, spec.high)
         raise ValueError(f"unknown weight kind {spec.kind!r}")
-    _WEIGHT_CACHE[key] = w
-    return w
+    return _kept(_WEIGHT_CACHE, "weight", (spec, root, depth), build)
 
 
 def materialize_function(
@@ -316,40 +312,47 @@ def _case_sigma(case: TestCase) -> GridFunction:
     return _case_weight(case).sigma(case.e)
 
 
+def _case_density(case: TestCase) -> GridFunction:
+    """The case's sigma, or ones for the constant weight and at p = 1."""
+    if case.weight.kind == "constant" or case.e.p == 1:
+        return GridFunction.constant(case.root, case.depth, 1.0)
+    return _case_sigma(case)
+
+
 def _case_function(case: TestCase) -> GridFunction:
     probe = case.func.kind == "sigma_probe"  # cut from the case's dual density
-    key = ("function", case.func, case.root, case.depth) + ((case.weight, case.e) if probe else ())
-    return _materialized(key, lambda: materialize_function(
+    params = (case.func, case.root, case.depth) + ((case.weight, case.e) if probe else ())
+    return _shared("function", (), params, lambda: materialize_function(
         case.func, case.root, case.depth, _case_sigma(case) if probe else None))
 
 
 def _case_bump(case: TestCase) -> GridFunction:
     spec = case.bump or BumpSpec("step")
-    return _materialized(("bump", spec, case.root, case.depth),
-                         lambda: materialize_bump(spec, case.root, case.depth))
+    return _shared("bump", (), (spec, case.root, case.depth),
+                   lambda: materialize_bump(spec, case.root, case.depth))
 
 
 def _phi_of(case: TestCase) -> YoungFunction:
     return {"power1": POWER1, "llog": LLOG}[case.phi]
 
 
-# -- run scope: each repeated operator result once per run --------------------
+# -- run scope: everything a run builds, once per run --------------------------
 
 
 class RunScope:
-    """Results shared by content while a run is open (see run_scope).
+    """What a run builds, shared while it is open (see run_scope).
 
     An entry is keyed by its kind, its other arguments and the fingerprints
-    of its mesh-function inputs.  A hit is confirmed by comparing roots and
-    cells with the stored inputs, so a fingerprint collision costs a
-    recomputation, never a wrong result.  computed and reused count the
-    results of each kind.  inputs holds the cases' materialized f and b
-    by spec (see _materialized).
+    of its mesh-function inputs; the cases' functions and bumps have no
+    mesh inputs and are keyed by their specs.  A hit is confirmed by
+    comparing roots and cells with the stored inputs, so a fingerprint
+    collision costs a recomputation, never a wrong result.  Workspaces and
+    weights are held in _WORKSPACE_CACHE and _WEIGHT_CACHE (see _kept).
+    computed and reused count the results of each kind.
     """
 
     def __init__(self):
         self.entries, self.computed, self.reused = {}, Counter(), Counter()
-        self.inputs = {}
 
     def fetch(self, kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute):
         bucket = self.entries.setdefault((kind, params, *(g.fingerprint for g in inputs)), [])
@@ -370,10 +373,10 @@ _SCOPE: RunScope | None = None
 
 @contextlib.contextmanager
 def run_scope():
-    """Share repeated operator results between the cases and theorems of
-    one run.  A nested entry joins the open scope; leaving the outermost
-    one drops every held result (the counts stay on the yielded scope).
-    Outside a scope every verifier computes directly."""
+    """Share what the cases and theorems of one run build.  A nested entry
+    joins the open scope; leaving the outermost one drops every held result,
+    workspace and weight (the counts stay on the yielded scope).  Outside a
+    scope every call builds and computes directly."""
     global _SCOPE
     if _SCOPE is not None:
         yield _SCOPE
@@ -383,7 +386,8 @@ def run_scope():
         yield scope
     finally:
         scope.entries.clear()
-        scope.inputs.clear()
+        _WORKSPACE_CACHE.clear()
+        _WEIGHT_CACHE.clear()
         _SCOPE = None
 
 
@@ -396,14 +400,17 @@ def _shared(kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute)
     return _SCOPE.fetch(kind, inputs, params, compute)
 
 
-def _materialized(key: tuple, build) -> GridFunction:
-    """build() once per spec key in the open run scope, else on every call;
-    one object per input keeps its fingerprint and tables across cases."""
+def _kept(store: dict, kind: str, key: tuple, build):
+    """build() once per key in the open run scope, held in store until the
+    scope closes, else on every call."""
     if _SCOPE is None:
         return build()
-    got = _SCOPE.inputs.get(key)
+    got = store.get(key)
     if got is None:
-        got = _SCOPE.inputs[key] = build()
+        got = store[key] = build()
+        _SCOPE.computed[kind] += 1
+    else:
+        _SCOPE.reused[kind] += 1
     return got
 
 
@@ -419,6 +426,11 @@ def _selection(f: GridFunction, ws: Workspace):
 
 def _bmo(b: GridFunction, ws: Workspace) -> float:
     return _shared("bmo_norm", (b,), (ws.battery,), lambda: bmo_norm(b, ws.battery))
+
+
+def _apq(w: Weight, e: ExponentTriple, battery: CubeBattery) -> float:
+    return _shared("apq_characteristic", (w.base,), (e, battery),
+                   lambda: apq_characteristic(w, e, battery))
 
 
 def _level_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction, ws: Workspace):
@@ -496,6 +508,17 @@ def _base_report(case: TestCase, characteristic, lhs, rhs_sans, suffix="", **ext
     )
 
 
+def _settle_degenerate(report: VerificationReport, b: GridFunction) -> VerificationReport:
+    """A bump whose BMO norm is zero to rounding leaves a zero right side:
+    the case passes when its left side is zero too, and calibration skips
+    it."""
+    if report.extra["bmo"] <= 1e-13 * max(1.0, abs(float(b.max_cell()))):
+        report.passed = report.lhs <= 1e-10
+        report.measured_constant = 0.0 if report.passed else math.inf
+        report.extra["degenerate"] = True
+    return report
+
+
 # -- the verifiers ---------------------------------------------------------------
 
 
@@ -509,7 +532,8 @@ def verify_weak_1q(case: TestCase) -> list[VerificationReport]:
     f = _case_function(case)
     out = _integral(f, e.alpha, ws)
     lhs = weak_quasinorm(out.cells, w.v(e), e.q)
-    char = a1q_characteristic(w, e, ws.battery)
+    char = _shared("a1q_characteristic", (w.base,), (e, ws.battery),
+                   lambda: a1q_characteristic(w, e, ws.battery))
     input_norm = float((f.cells * w.base.cells).sum() * f.cell_volume)
     rhs = char ** e.weak_power * input_norm
     return [_base_report(case, char, lhs, rhs)]
@@ -523,7 +547,7 @@ def verify_strong_pq(case: TestCase) -> list[VerificationReport]:
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
-    char = apq_characteristic(w, e, ws.battery)
+    char = _apq(w, e, ws.battery)
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.strong_power * input_norm
     out_d = _integral(f, e.alpha, ws)
@@ -554,16 +578,12 @@ def verify_commutator_strong(case: TestCase) -> list[VerificationReport]:
         return dyadic_commutator(b, f, e.alpha, ws.family, 0, plan=plan)
     out = _shared("dyadic_commutator", (b, f), (e.alpha, ws.family), commutator)
     lhs = lebesgue_product_norm(out.values, w.base, e.q)
-    char = apq_characteristic(w, e, ws.battery)
+    char = _apq(w, e, ws.battery)
     bmo = _bmo(b, ws)
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.commutator_power * bmo * input_norm
     report = _base_report(case, char, lhs, rhs, bump=case.bump.label(), bmo=bmo)
-    if bmo <= 1e-13 * max(1.0, abs(float(b.max_cell()))):
-        report.passed = lhs <= 1e-10
-        report.measured_constant = 0.0 if report.passed else math.inf
-        report.extra["degenerate"] = True
-    return [report]
+    return [_settle_degenerate(report, b)]
 
 
 def verify_maximal_weak_and_strong(case: TestCase) -> list[VerificationReport]:
@@ -572,8 +592,7 @@ def verify_maximal_weak_and_strong(case: TestCase) -> list[VerificationReport]:
     if e.p <= 1:
         raise ValueError("the maximal-operator lemma needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
-    sigma = _case_sigma(case) if case.weight.kind != "constant" else \
-        GridFunction.constant(case.root, case.depth, 1.0)
+    sigma = _case_density(case)
     f = _case_function(case)
     phi = _phi_of(case)
     out = weighted_orlicz_fractional_maximal(
@@ -594,10 +613,10 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     if e.p <= 1:
         raise ValueError("the dual density needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
-    sigma = _case_sigma(case) if case.weight.kind != "constant" else \
-        GridFunction.constant(case.root, case.depth, 1.0)
+    sigma = _case_density(case)
     b = _case_bump(case)
-    ainf = ap_characteristic(sigma, e.r_prime, ws.battery)
+    ainf = _shared("ap_characteristic", (sigma,), (e.r_prime, ws.battery),
+                   lambda: ap_characteristic(sigma, e.r_prime, ws.battery))
     bmo = _bmo(b, ws)
 
     def oscillation_gauge() -> float:
@@ -613,11 +632,7 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
         case, ainf, lhs, rhs,
         bump=(case.bump or BumpSpec("step")).label(), bmo=bmo,
     )
-    if bmo <= 1e-13 * max(1.0, abs(float(b.max_cell()))):
-        report.passed = lhs <= 1e-10
-        report.measured_constant = 0.0 if report.passed else math.inf
-        report.extra["degenerate"] = True
-    return [report]
+    return [_settle_degenerate(report, b)]
 
 
 def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> list[VerificationReport]:
@@ -628,8 +643,7 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
     """
     e = case.e
     ws = workspace(case.root, case.depth, case.battery_depth)
-    sigma = _case_sigma(case) if case.weight.kind != "constant" and e.p > 1 else \
-        GridFunction.constant(case.root, case.depth, 1.0)
+    sigma = _case_density(case)
     f = _case_function(case)
     phi = _phi_of(case)
     root_cube = DyadicCube(0, 0, (0,) * case.root.n)
@@ -671,7 +685,7 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     w = _case_weight(case)
     f = _case_function(case)
     sigma, v = w.sigma(e), w.v(e)
-    char = apq_characteristic(w, e, ws.full_battery)
+    char = _apq(w, e, ws.full_battery)
     sparse = _selection(f, ws)
     cert = _shared("certify_sparse", (f,), (ws.family,),  # sparse is a function of f
                    lambda: certify_sparse(sparse, ws.family, case.depth))
@@ -779,11 +793,12 @@ def standard_function_specs(root: RootBox, with_probe: bool = True) -> list[Func
     return specs
 
 
-def sweep_gammas(e: ExponentTriple, count: int = 8, margin: float = 0.9) -> list[float]:
-    """Power-weight exponents spread over the admissible open range."""
+def sweep_gammas(e: ExponentTriple, count: int = 8) -> list[float]:
+    """Power-weight exponents spread over the admissible open range, pulled
+    in to 0.9 of it."""
     lo, hi = admissible_gamma_range(e)
     return [
-        margin * (lo + (j + 0.5) * (hi - lo) / count) for j in range(count)
+        0.9 * (lo + (j + 0.5) * (hi - lo) / count) for j in range(count)
     ]
 
 
@@ -794,20 +809,20 @@ def build_battery(
     depth: int,
     battery_depth: int,
     gammas: int = 8,
-    x0="third",
 ) -> list[TestCase]:
     """The standard battery: unweighted calibration cases first, then the
     power-weight sweep, crossed with the function battery (and the bump
-    battery for commutator-type checks)."""
+    battery for commutator-type checks).  Weight and log bump are singular
+    at the root box's third point."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     with_probe = e.p > 1
     funcs = standard_function_specs(root, with_probe=with_probe)
     weights = [WeightSpec("constant")]
-    weights += [WeightSpec("power", g, x0) for g in sweep_gammas(e, gammas)]
+    weights += [WeightSpec("power", g, "third") for g in sweep_gammas(e, gammas)]
     bumps = [None]
     if theorem in ("commutator_strong", "weighted_bmo"):
-        bumps = [BumpSpec("step"), BumpSpec("logdist", x0)]
+        bumps = [BumpSpec("step"), BumpSpec("logdist", "third")]
     if theorem == "weighted_bmo":
         funcs = funcs[:1]  # the oscillation check does not involve f
     cases = []

@@ -72,10 +72,6 @@ class ExponentTriple:
         return math.inf if self.p == 1 else self.p / (self.p - 1.0)
 
     @property
-    def q_prime(self) -> float:
-        return self.q / (self.q - 1.0)
-
-    @property
     def q_over_p_prime(self) -> float:
         return 0.0 if self.p == 1 else self.q / self.p_prime
 
@@ -137,10 +133,6 @@ class CubeBattery:
     def __len__(self) -> int:
         return len(self._vol)
 
-    @property
-    def key(self):
-        return (self.family.root, self.family.max_level, self.max_level)
-
     def bounds(self, i: int):
         return self._lo[i], self._hi[i]
 
@@ -179,14 +171,13 @@ class CubeBattery:
 
 
 class Weight:
-    """Strictly positive mesh function with cached cellwise powers."""
+    """Finite, strictly positive mesh function with cached cellwise powers."""
 
     def __init__(self, base: GridFunction):
-        if base.min_cell() <= 0:
-            raise ValueError("weight cells must be strictly positive")
+        if not (np.isfinite(base.cells).all() and base.min_cell() > 0):
+            raise ValueError("weight cells must be finite and strictly positive")
         self.base = base
         self._powers: dict[float, GridFunction] = {1.0: base}
-        self._chars: dict[tuple, float] = {}
 
     def power(self, exponent: float) -> GridFunction:
         exponent = float(exponent)
@@ -205,13 +196,6 @@ class Weight:
     def v(self, e: ExponentTriple) -> GridFunction:
         """w^q, the target-side measure density."""
         return self.power(e.q)
-
-    def cached_characteristic(self, key: tuple, compute):
-        got = self._chars.get(key)
-        if got is None:
-            got = compute()
-            self._chars[key] = got
-        return got
 
 
 # -- weighted measures and averages ------------------------------------------
@@ -238,26 +222,18 @@ def apq_characteristic(w: Weight, e: ExponentTriple, battery: CubeBattery) -> fl
     """Battery maximum of (avg w^q)^(1/q) (avg w^-p')^(1/p'); needs p > 1."""
     if e.p == 1:
         raise ValueError("use a1q_characteristic for p = 1")
-
-    def compute():
-        av = battery.averages(w.v(e))
-        au = battery.averages(w.sigma(e))
-        return float(np.max(av ** (1.0 / e.q) * au ** (1.0 / e.p_prime)))
-
-    return w.cached_characteristic(("apq", battery.key, e), compute)
+    av = battery.averages(w.v(e))
+    au = battery.averages(w.sigma(e))
+    return float(np.max(av ** (1.0 / e.q) * au ** (1.0 / e.p_prime)))
 
 
 def a1q_characteristic(w: Weight, e: ExponentTriple, battery: CubeBattery) -> float:
     """Battery maximum of (avg w^q)^(1/q) * esssup_Q w^-1 for p = 1 exponents."""
     if e.p != 1:
         raise ValueError("a1q_characteristic requires p = 1")
-
-    def compute():
-        av = battery.averages(w.v(e))
-        inv = 1.0 / battery.cell_min(w.base)
-        return float(np.max(av ** (1.0 / e.q) * inv))
-
-    return w.cached_characteristic(("a1q", battery.key, e), compute)
+    av = battery.averages(w.v(e))
+    inv = 1.0 / battery.cell_min(w.base)
+    return float(np.max(av ** (1.0 / e.q) * inv))
 
 
 def ap_characteristic(sigma: GridFunction, p: float, battery: CubeBattery) -> float:
@@ -296,12 +272,19 @@ def reverse_holder_exponent(
     """Largest s in [1, cap] with (avg sigma^s)^(1/s) <= 2 avg sigma on the battery.
 
     Found by bisection; returns cap when the inequality still holds there,
-    and 1.0 when it already fails just above 1.
+    and 1.0 when it already fails just above 1.  Raises ValueError when an
+    average of sigma^s comes out negative or non-finite, as the box
+    integrals of a large power can when they lose all precision.
     """
 
     def holds(s: float) -> bool:
-        a = battery.averages(sigma.power(s)) ** (1.0 / s)
-        return bool(np.all(a <= 2.0 * battery.averages(sigma)))
+        avg = battery.averages(sigma.power(s))
+        bad = ~np.isfinite(avg) | (avg < 0)
+        if bad.any():
+            raise ValueError(
+                f"{int(bad.sum())} battery averages of sigma^{s:.6g} are negative or "
+                f"non-finite (smallest {np.min(avg[bad]):.6g})")
+        return bool(np.all(avg ** (1.0 / s) <= 2.0 * battery.averages(sigma)))
 
     if not holds(1.0 + 1e-9):
         return 1.0

@@ -442,9 +442,7 @@ def dyadic_commutator_naive(
                 tuple(i1 - i0 for i0, i1 in ranges)
             )
             visits += 1
-    return OperatorOutput(
-        f.with_cells(out), "dyadic_commutator_naive", grid_id, {"alpha": alpha}, visits
-    )
+    return OperatorOutput(f.with_cells(out), "dyadic_commutator_naive", grid_id, visits)
 
 
 def _commutator_blocks(bb: np.ndarray, fm: np.ndarray) -> np.ndarray:

@@ -104,9 +104,12 @@ class TestVerify:
             "longdouble_eps": float(np.finfo(np.longdouble).eps),
         }
         shared = meta["shared_results"]
-        assert set(shared) == {"dyadic_fractional_integral", "sparse_select_for_operator"}
+        assert set(shared) == {"dyadic_fractional_integral", "sparse_select_for_operator",
+                               "workspace", "weight", "function",
+                               "a1q_characteristic", "apq_characteristic"}
         assert all(c["computed"] > 0 for c in shared.values())
         assert meta["verify"]["theorems"] == ["strong_pq", "weak_1q"]
+        assert verify._WORKSPACE_CACHE == {} == verify._WEIGHT_CACHE and verify._SCOPE is None
 
     def test_each_repeated_result_computed_once(self, runner, tmp_path, monkeypatch):
         # all seven theorems in one run: one commutator per distinct (b, f),

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,14 +540,56 @@ class TestRunScope:
         assert (scope.computed["dyadic_commutator"], scope.reused["dyadic_commutator"]) == (12, 18)
         assert (scope.computed["commutator_plan"], scope.reused["commutator_plan"]) == (2, 10)
         assert (scope.computed["oscillation_gauge"], scope.reused["oscillation_gauge"]) == (4, 2)
+        # 30 commutator cases on two distinct weights, 6 BMO cases on two sigmas
+        assert (scope.computed["apq_characteristic"], scope.reused["apq_characteristic"]) == (2, 28)
+        assert (scope.computed["ap_characteristic"], scope.reused["ap_characteristic"]) == (2, 4)
         # four plain functions, the probe once per weight, and the two bumps
         assert calls == {"materialize_function": 7, "materialize_bump": 2}
-        assert scope.inputs == {}
+        assert scope.entries == {} and verify._WORKSPACE_CACHE == {} == verify._WEIGHT_CACHE
         case = case_for("commutator_strong", depth=6, battery_depth=4,
                         func=FunctionSpec("sigma_probe", ((0.0,), (0.5,))), bump=BumpSpec("step"))
         verify_case(case)
         verify_case(case)
         assert calls == {"materialize_function": 9, "materialize_bump": 4}
+
+    def test_workspaces_and_weights_live_as_long_as_the_scope(self):
+        root, spec = verify.DEFAULT_ROOT_1D, WeightSpec("power", 0.2)
+
+        def held():
+            return verify._WORKSPACE_CACHE or verify._WEIGHT_CACHE or verify._SCOPE
+
+        with verify.run_scope() as scope:
+            with verify.run_scope():
+                assert workspace(root, 6, 4) is workspace(root, 6, 4)
+                assert materialize_weight(spec, root, 6) is materialize_weight(spec, root, 6)
+            assert verify._WORKSPACE_CACHE and verify._WEIGHT_CACHE
+        assert (scope.computed["workspace"], scope.reused["workspace"]) == (1, 1)
+        assert (scope.computed["weight"], scope.reused["weight"]) == (1, 1)
+        assert not held() and scope.entries == {}
+        assert workspace(root, 6, 4) is not workspace(root, 6, 4)
+        assert materialize_weight(spec, root, 6) is not materialize_weight(spec, root, 6)
+        assert not held()
+        run_battery("strong_pq", E_THIRD, depth=6, battery_depth=4, gammas=2)
+        assert not held()
+
+    def test_benchmark_tracer_counts_builds(self):
+        # perfbench/tracer.py counts a build as the growth of _WORKSPACE_CACHE
+        # or _WEIGHT_CACHE during the call, and wraps these names by binding
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with verify.run_scope():
+                verify.run_battery("strong_pq", E_THIRD, depth=6, battery_depth=4, gammas=2)
+            metrics = tracer.layer_metrics()
+        finally:
+            tracer.uninstall()
+        assert metrics["verify.workspace.builds"] >= 1
+        assert metrics["verify.materialize_weight.calls"] >= 1
+        assert metrics["verify.materialize_weight.hit_ratio"] < 1
 
     def test_outside_a_scope_every_call_computes(self, monkeypatch):
         calls = []

@@ -316,6 +316,16 @@ class TestReverseHolder:
         assert holds(s)
         assert not holds(s + 1e-3)
 
+    def test_negative_power_averages_raise(self, root2):
+        # the box integrals of w^64 lose all precision here: some battery
+        # averages come out negative, and their 1/64 root would be NaN
+        w = power_weight(root2, 8, -0.2, (1 / 3, 1 / 3))
+        bat = CubeBattery(DyadicGridFamily(root2, 8), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"averages of sigma\^64 are negative or non-finite"):
+                reverse_holder_exponent(w.base, bat)
+
     def test_at_least_one(self, bat6, root1):
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -477,6 +487,20 @@ class TestPowerWeightDiscretization:
     def test_weight_requires_positive(self, root1):
         with pytest.raises(ValueError):
             Weight(GridFunction.constant(root1, 5, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_weight_rejects_non_finite_cell(self, root1, bad):
+        cells = np.ones(2 ** 5)
+        cells[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Weight(GridFunction(root1, cells))
+
+    def test_power_weight_with_a_nan_cell_raises(self, root2):
+        # x0 = (1/2, 1/2) sits on the upper corner of a cell just below 0.5;
+        # the quadrature descends below the float spacing there and gives NaN
+        with pytest.raises(ValueError, match="finite"):
+            with pytest.warns(RuntimeWarning, match="float spacing"):
+                power_weight(root2, 8, -0.2, "center")
 
     def test_step_weight(self, root1):
         w = step_weight(root1, 6, 1.0, 3.0)
