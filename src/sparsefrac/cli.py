@@ -7,16 +7,18 @@ failing case is printed), 2 on configuration errors.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config, require
-from .grid import RootBox, write_gridfunction
+from .grid import GridFunction, RootBox, write_gridfunction
 from .operators import (
     commutator_1d,
     dyadic_commutator,
@@ -45,6 +47,7 @@ from .verify import (
 )
 from .weights import (
     ExponentTriple,
+    Weight,
     a1_characteristic,
     a1q_characteristic,
     ap_characteristic,
@@ -53,11 +56,9 @@ from .weights import (
     reverse_holder_exponent,
 )
 
-_CONFIG_OPT = click.option(
-    "--config", "config_path", required=True, type=click.Path(exists=True),
-    help="YAML experiment config",
-)
-_COMMON = [
+_OPTIONS = [
+    click.option("--config", "config_path", required=True, type=click.Path(exists=True),
+                 help="YAML experiment config"),
     click.option("--out", "out_dir", default=None, help="output directory"),
     click.option("--seed", default=None, type=int, help="only recorded in run_meta.json"),
     click.option("--depth", default=None, type=int, help="mesh depth K override"),
@@ -66,83 +67,86 @@ _COMMON = [
 ]
 
 
-def _common(fn):
-    for opt in reversed(_COMMON):
-        fn = opt(fn)
-    return _CONFIG_OPT(fn)
-
-
-def _load(config_path, out_dir, seed, depth, fmt) -> dict:
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    run = cfg["run"]
-    if out_dir is not None:
-        run["out"] = out_dir
-    if seed is not None:
-        run["seed"] = seed
-    if depth is not None:
-        run["depth"] = depth
-    if fmt is not None:
-        run["format"] = fmt
-    return cfg
-
-
 def _fail_config(message: str):
     click.echo(f"config error: {message}", err=True)
     sys.exit(2)
 
 
-def _root(cfg) -> RootBox:
+class _Setup(NamedTuple):
+    """What every command reads first: the config with the flag overrides
+    applied, the root box, the exponents and the two depths."""
+
+    cfg: dict
+    root: RootBox
+    e: ExponentTriple
+    depth: int
+    battery_depth: int
+
+    @property
+    def out(self) -> Path:
+        return Path(self.cfg["run"]["out"])
+
+
+def _setup(config_path, out_dir, seed, depth, fmt) -> _Setup:
+    try:
+        cfg = load_config(config_path)
+    except ConfigError as exc:
+        _fail_config(str(exc))
+    run = cfg["run"]
+    for key, value in (("out", out_dir), ("seed", seed), ("depth", depth), ("format", fmt)):
+        if value is not None:
+            run[key] = value
     dom = cfg["domain"]
     if len(dom["origin"]) != dom["dimension"]:
         _fail_config("domain.origin length must match domain.dimension")
-    return RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
-
-
-def _exponents(cfg) -> ExponentTriple:
+    root = RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
     try:
         require(cfg, "exponents.alpha", "exponents.p")
-        return ExponentTriple(
-            cfg["domain"]["dimension"],
-            float(cfg["exponents"]["alpha"]),
-            float(cfg["exponents"]["p"]),
-        )
+        e = ExponentTriple(dom["dimension"], float(cfg["exponents"]["alpha"]),
+                           float(cfg["exponents"]["p"]))
     except (ConfigError, ValueError) as exc:
         _fail_config(str(exc))
+    return _Setup(cfg, root, e, run["depth"], min(run["battery_depth"], run["depth"]))
 
 
-def _weight_spec(cfg) -> WeightSpec:
-    wc = cfg["weight"]
+def _command(fn):
+    """A subcommand taking the config and its overrides; fn gets the _Setup."""
+    @functools.wraps(fn)
+    def command(config_path, out_dir, seed, depth, fmt):
+        return fn(_setup(config_path, out_dir, seed, depth, fmt))
+    for opt in reversed(_OPTIONS):
+        command = opt(command)
+    return main.command()(command)
+
+
+def _weight(s: _Setup) -> Weight:
+    wc = s.cfg["weight"]
     x0 = wc["x0"]
     if isinstance(x0, list):
         x0 = tuple(float(v) for v in x0)
-    return WeightSpec(wc["kind"], float(wc["gamma"]), x0,
-                      float(wc["low"]), float(wc["high"]))
+    spec = WeightSpec(wc["kind"], float(wc["gamma"]), x0, float(wc["low"]), float(wc["high"]))
+    return materialize_weight(spec, s.root, s.depth)
 
 
-def _function_spec(cfg) -> FunctionSpec:
-    fc = cfg["function"]
+def _function(s: _Setup) -> tuple[GridFunction, GridFunction]:
+    """The configured function and its density: the weight's sigma, or the weight at p = 1."""
+    w = _weight(s)
+    sigma = w.base if s.e.p == 1 else w.sigma(s.e)
+    fc = s.cfg["function"]
     box = fc.get("box")
     if fc["kind"] in ("indicator", "sigma_probe"):
         if box is None:
             _fail_config("missing required key 'function.box'")
         box = (tuple(float(v) for v in box[0]), tuple(float(v) for v in box[1]))
-    return FunctionSpec(fc["kind"], box, float(fc["value"]))
+    spec = FunctionSpec(fc["kind"], box, float(fc["value"]))
+    return materialize_function(spec, s.root, s.depth, sigma), sigma
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg["run"]["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(cfg, out: Path, scope=None) -> None:
-    """The config as run; after a verify or sweep run, also the versions
-    and the computed and reused counts of each shared result kind."""
-    doc = dict(cfg)
+def _write_meta(s: _Setup, scope=None) -> None:
+    """Create the out directory and write the config as run; after a verify
+    or sweep run, also the versions and the computed and reused counts of
+    each shared result kind."""
+    doc = dict(s.cfg)
     if scope is not None:
         doc["provenance"] = {
             "sparsefrac": __version__,
@@ -151,7 +155,8 @@ def _write_meta(cfg, out: Path, scope=None) -> None:
         }
         doc["shared_results"] = {kind: {"computed": n, "reused": scope.reused[kind]}
                                  for kind, n in sorted(scope.computed.items())}
-    with open(out / "run_meta.json", "w") as fh:
+    s.out.mkdir(parents=True, exist_ok=True)
+    with open(s.out / "run_meta.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -161,117 +166,92 @@ def main():
     """Dyadic-grid fractional integral machinery and inequality checks."""
 
 
-@main.command()
-@_common
-def char(config_path, out_dir, seed, depth, fmt):
+@_command
+def char(s: _Setup):
     """Weight characteristics over the cube battery."""
-    cfg = _load(config_path, out_dir, seed, depth, fmt)
-    root = _root(cfg)
-    e = _exponents(cfg)
-    run = cfg["run"]
-    ws = workspace(root, run["depth"], min(run["battery_depth"], run["depth"]))
-    w = materialize_weight(_weight_spec(cfg), root, run["depth"])
+    e = s.e
+    battery = workspace(s.root, s.depth, s.battery_depth).battery
+    w = _weight(s)
     rows = {}
     if e.p == 1:
-        rows["a1q_characteristic"] = a1q_characteristic(w, e, ws.battery)
-        rows["a1_of_v"] = a1_characteristic(w.v(e), ws.battery)
+        rows["a1q_characteristic"] = a1q_characteristic(w, e, battery)
+        rows["a1_of_v"] = a1_characteristic(w.v(e), battery)
     else:
-        rows["apq_characteristic"] = apq_characteristic(w, e, ws.battery)
-        rows["ar_of_v"] = ap_characteristic(w.v(e), e.r, ws.battery)
-        rows["ar_prime_of_sigma"] = ap_characteristic(w.sigma(e), e.r_prime, ws.battery)
-        s_sigma, c_sigma = implied_reverse_holder_constant(w.sigma(e), e.r_prime, ws.battery)
+        rows["apq_characteristic"] = apq_characteristic(w, e, battery)
+        rows["ar_of_v"] = ap_characteristic(w.v(e), e.r, battery)
+        rows["ar_prime_of_sigma"] = ap_characteristic(w.sigma(e), e.r_prime, battery)
+        s_sigma, c_sigma = implied_reverse_holder_constant(w.sigma(e), e.r_prime, battery)
         rows["reverse_holder_of_sigma"] = s_sigma
         rows["implied_rh_constant_of_sigma"] = c_sigma
-    rows["reverse_holder_of_v"] = reverse_holder_exponent(w.v(e), ws.battery)
-    out = _outdir(cfg)
-    _write_meta(cfg, out)
+    rows["reverse_holder_of_v"] = reverse_holder_exponent(w.v(e), battery)
+    _write_meta(s)
     for name, value in rows.items():
         click.echo(f"{name} {value:.17g}")
-    if run["format"] == "json":
-        with open(out / "characteristics.json", "w") as fh:
+    if s.cfg["run"]["format"] == "json":
+        with open(s.out / "characteristics.json", "w") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        with open(out / "characteristics.csv", "w") as fh:
+        with open(s.out / "characteristics.csv", "w") as fh:
             fh.write("name,value\n")
             for name, value in sorted(rows.items()):
                 fh.write(f"{name},{value:.17g}\n")
 
 
-_OPERATORS = (
-    "riesz_potential",
-    "dyadic_fractional_integral",
-    "dyadic_fractional_maximal",
-    "fractional_maximal",
-    "weighted_orlicz_fractional_maximal",
-    "commutator",
-    "dyadic_commutator",
-)
+def _bump(s: _Setup) -> GridFunction:
+    bc = s.cfg["commutator"]
+    return materialize_bump(BumpSpec(bc["b"], bc["x0"]), s.root, s.depth)
 
 
-@main.command()
-@_common
-def op(config_path, out_dir, seed, depth, fmt):
+_PHI = {"power1": POWER1, "llog": LLOG}
+# op.name -> (needs domain.dimension 1, apply(setup, f, sigma, family, grid id))
+_OPERATORS = {
+    "riesz_potential": (True, lambda s, f, sigma, fam, gid: riesz_potential_1d(f, s.e.alpha)),
+    "dyadic_fractional_integral": (False, lambda s, f, sigma, fam, gid:
+                                   dyadic_fractional_integral(f, s.e.alpha, fam, gid)),
+    "dyadic_fractional_maximal": (False, lambda s, f, sigma, fam, gid:
+                                  dyadic_fractional_maximal(f, s.e.alpha, fam, gid)),
+    "fractional_maximal": (False, lambda s, f, sigma, fam, gid:
+                           fractional_maximal(f, s.e.alpha, fam)),
+    "weighted_orlicz_fractional_maximal": (False, lambda s, f, sigma, fam, gid:
+                                           weighted_orlicz_fractional_maximal(
+                                               f, sigma, s.e.alpha, _PHI[s.cfg["op"]["phi"]],
+                                               fam, gid)),
+    "commutator": (True, lambda s, f, sigma, fam, gid: commutator_1d(_bump(s), f, s.e.alpha)),
+    "dyadic_commutator": (False, lambda s, f, sigma, fam, gid:
+                          dyadic_commutator(_bump(s), f, s.e.alpha, fam, gid)),
+}
+
+
+@_command
+def op(s: _Setup):
     """Apply one operator and write the output mesh function."""
-    cfg = _load(config_path, out_dir, seed, depth, fmt)
-    root = _root(cfg)
-    e = _exponents(cfg)
-    run = cfg["run"]
-    name = cfg["op"].get("name")
+    name = s.cfg["op"].get("name")
     if name is None:
         _fail_config("missing required key 'op.name'")
     if name not in _OPERATORS:
         _fail_config(f"op.name must be one of {', '.join(_OPERATORS)}")
-    if name in ("riesz_potential", "commutator") and root.n != 1:
+    one_d_only, apply = _OPERATORS[name]
+    if one_d_only and s.root.n != 1:
         _fail_config(f"op.name {name} needs domain.dimension 1")
-    ws = workspace(root, run["depth"], min(run["battery_depth"], run["depth"]))
-    gid = cfg["op"]["grid"]
-    w = materialize_weight(_weight_spec(cfg), root, run["depth"])
-    sigma = w.base if e.p == 1 else w.sigma(e)
-    f = materialize_function(_function_spec(cfg), root, run["depth"], sigma)
-    if name == "riesz_potential":
-        result = riesz_potential_1d(f, e.alpha)
-    elif name == "dyadic_fractional_integral":
-        result = dyadic_fractional_integral(f, e.alpha, ws.family, gid)
-    elif name == "dyadic_fractional_maximal":
-        result = dyadic_fractional_maximal(f, e.alpha, ws.family, gid)
-    elif name == "fractional_maximal":
-        result = fractional_maximal(f, e.alpha, ws.family)
-    elif name == "weighted_orlicz_fractional_maximal":
-        phi = {"power1": POWER1, "llog": LLOG}[cfg["op"]["phi"]]
-        result = weighted_orlicz_fractional_maximal(f, sigma, e.alpha, phi, ws.family, gid)
-    else:
-        b = materialize_bump(BumpSpec(cfg["commutator"]["b"], cfg["commutator"]["x0"]),
-                             root, run["depth"])
-        if name == "commutator":
-            result = commutator_1d(b, f, e.alpha)
-        else:
-            result = dyadic_commutator(b, f, e.alpha, ws.family, gid)
-    out = _outdir(cfg)
-    _write_meta(cfg, out)
-    path = out / f"op_{name}.bin"
+    family = workspace(s.root, s.depth, s.battery_depth).family
+    f, sigma = _function(s)
+    result = apply(s, f, sigma, family, s.cfg["op"]["grid"])
+    _write_meta(s)
+    path = s.out / f"op_{name}.bin"
     write_gridfunction(result.values, path)
     click.echo(f"{name}: wrote {path} (cube visits {result.cube_visits})")
 
 
-@main.command()
-@_common
-def sparse(config_path, out_dir, seed, depth, fmt):
+@_command
+def sparse(s: _Setup):
     """Extract the sparse family for the configured function and certify it."""
-    cfg = _load(config_path, out_dir, seed, depth, fmt)
-    root = _root(cfg)
-    e = _exponents(cfg)
-    run = cfg["run"]
-    ws = workspace(root, run["depth"], min(run["battery_depth"], run["depth"]))
-    w = materialize_weight(_weight_spec(cfg), root, run["depth"])
-    sigma = w.base if e.p == 1 else w.sigma(e)
-    f = materialize_function(_function_spec(cfg), root, run["depth"], sigma)
-    gid = cfg["op"]["grid"]
-    family = sparse_select_for_operator(f, ws.family, gid)
-    cert = certify_sparse(family, ws.family, run["depth"])
-    out = _outdir(cfg)
-    _write_meta(cfg, out)
-    path = out / "sparse_family.json"
+    ws = workspace(s.root, s.depth, s.battery_depth)
+    f, _ = _function(s)
+    family = sparse_select_for_operator(f, ws.family, s.cfg["op"]["grid"])
+    cert = certify_sparse(family, ws.family, s.depth)
+    _write_meta(s)
+    path = s.out / "sparse_family.json"
     with open(path, "w") as fh:
         fh.write(sparse_family_to_json(family, cert) + "\n")
     click.echo(
@@ -283,93 +263,80 @@ def sparse(config_path, out_dir, seed, depth, fmt):
         sys.exit(1)
 
 
-def _theorem_exponents(theorem: str, e: ExponentTriple) -> ExponentTriple:
-    # the endpoint inequality lives at p = 1 with the same alpha
-    if theorem == "weak_1q" and e.p != 1:
-        return ExponentTriple(e.n, e.alpha, 1.0)
-    return e
-
-
-@main.command()
-@_common
-def verify(config_path, out_dir, seed, depth, fmt):
-    """Run verification batteries; nonzero exit if any asserted case fails."""
-    cfg = _load(config_path, out_dir, seed, depth, fmt)
-    root = _root(cfg)
-    e = _exponents(cfg)
-    run = cfg["run"]
-    theorems = cfg["verify"].get("theorems")
+def _batteries(s: _Setup, section: str, check, emit, **options) -> None:
+    """Run the battery of every theorem in <section>.theorems in one run
+    scope, with run_meta.json written before and after.  check(theorem,
+    exponents) rejects a theorem before its battery runs; emit(theorem,
+    exponents, result) gets each battery's result."""
+    theorems = s.cfg[section].get("theorems")
     if not theorems:
-        _fail_config("missing required key 'verify.theorems'")
-    out = _outdir(cfg)
-    _write_meta(cfg, out)
-    all_reports = []
-    failed = None
+        _fail_config(f"missing required key '{section}.theorems'")
+    _write_meta(s)
     with run_scope() as scope:
         for theorem in theorems:
-            te = _theorem_exponents(theorem, e)
-            if theorem != "weak_1q" and te.p == 1:
-                _fail_config(f"theorem {theorem} needs exponents.p > 1")
-            result = run_battery(
-                theorem, te, root,
-                depth=run["depth"],
-                battery_depth=min(run["battery_depth"], run["depth"]),
-                gammas=cfg["verify"]["gammas"],
-                threshold_factor=cfg["verify"]["threshold_factor"],
-            )
-            all_reports.extend(result.reports)
-            click.echo(
-                f"{theorem}: {len(result.reports)} cases, calibration "
-                f"{result.calibration:.6g}, max measured {result.max_measured:.6g}, "
-                f"{'pass' if result.all_passed else 'FAIL'}"
-            )
-            if failed is None and not result.all_passed:
-                failed = result.first_failure()
-    if run["format"] == "json":
-        write_reports_json(all_reports, out / "reports.json")
-    else:
-        write_reports_csv(all_reports, out / "reports.csv")
-    _write_meta(cfg, out, scope)
-    if failed is not None:
+            te = s.e
+            if theorem == "weak_1q" and te.p != 1:
+                # the endpoint inequality lives at p = 1 with the same alpha
+                te = ExponentTriple(te.n, te.alpha, 1.0)
+            check(theorem, te)
+            result = run_battery(theorem, te, s.root, depth=s.depth,
+                                 battery_depth=s.battery_depth,
+                                 gammas=s.cfg[section]["gammas"], **options)
+            emit(theorem, te, result)
+    _write_meta(s, scope)
+
+
+@_command
+def verify(s: _Setup):
+    """Run verification batteries; nonzero exit if any asserted case fails."""
+    all_reports = []
+    failed = []
+
+    def check(theorem, te):
+        if theorem != "weak_1q" and te.p == 1:
+            _fail_config(f"theorem {theorem} needs exponents.p > 1")
+
+    def emit(theorem, te, result):
+        all_reports.extend(result.reports)
         click.echo(
-            f"first failing case: {failed.case_id} measured "
-            f"{failed.measured_constant:.6g} threshold {failed.extra['threshold']:.6g}",
+            f"{theorem}: {len(result.reports)} cases, calibration "
+            f"{result.calibration:.6g}, max measured {result.max_measured:.6g}, "
+            f"{'pass' if result.all_passed else 'FAIL'}"
+        )
+        if not result.all_passed:
+            failed.append(result.first_failure())
+
+    _batteries(s, "verify", check, emit,
+               threshold_factor=s.cfg["verify"]["threshold_factor"])
+    if s.cfg["run"]["format"] == "json":
+        write_reports_json(all_reports, s.out / "reports.json")
+    else:
+        write_reports_csv(all_reports, s.out / "reports.csv")
+    if failed:
+        first = failed[0]
+        click.echo(
+            f"first failing case: {first.case_id} measured "
+            f"{first.measured_constant:.6g} threshold {first.extra['threshold']:.6g}",
             err=True,
         )
         sys.exit(1)
 
 
-@main.command()
-@_common
-def sweep(config_path, out_dir, seed, depth, fmt):
+@_command
+def sweep(s: _Setup):
     """Gamma sweeps with plot-data export and slope fits."""
-    cfg = _load(config_path, out_dir, seed, depth, fmt)
-    root = _root(cfg)
-    e = _exponents(cfg)
-    run = cfg["run"]
-    theorems = cfg["sweep"].get("theorems")
-    if not theorems:
-        _fail_config("missing required key 'sweep.theorems'")
-    out = _outdir(cfg)
-    _write_meta(cfg, out)
-    with run_scope() as scope:
-        for theorem in theorems:
-            if theorem not in CHARACTERISTIC_POWERS:
-                _fail_config(f"theorem {theorem} has no characteristic to sweep")
-            te = _theorem_exponents(theorem, e)
-            result = run_battery(
-                theorem, te, root,
-                depth=run["depth"],
-                battery_depth=min(run["battery_depth"], run["depth"]),
-                gammas=cfg["sweep"]["gammas"],
-            )
-            path = out / f"sweep_{theorem}.csv"
-            slope = write_sweep_csv(result, path)
-            power = CHARACTERISTIC_POWERS[theorem](te)
-            click.echo(
-                f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}"
-            )
-    _write_meta(cfg, out, scope)
+
+    def check(theorem, te):
+        if theorem not in CHARACTERISTIC_POWERS:
+            _fail_config(f"theorem {theorem} has no characteristic to sweep")
+
+    def emit(theorem, te, result):
+        path = s.out / f"sweep_{theorem}.csv"
+        slope = write_sweep_csv(result, path)
+        power = CHARACTERISTIC_POWERS[theorem](te)
+        click.echo(f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}")
+
+    _batteries(s, "sweep", check, emit)
 
 
 if __name__ == "__main__":

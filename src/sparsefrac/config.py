@@ -17,67 +17,21 @@ class ConfigError(ValueError):
 
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when built
-_SCHEMA: dict[str, dict[str, type | tuple]] = {
-    "run": {
-        "seed": int,
-        "depth": int,
-        "battery_depth": int,
-        "format": str,
-        "jobs": int,  # kept so existing configs load; cases run one at a time
-        "out": str,
-    },
-    "domain": {
-        "dimension": int,
-        "origin": list,
-        "side": (int, float),
-    },
-    "exponents": {
-        "alpha": (int, float),
-        "p": (int, float),
-    },
-    "weight": {
-        "kind": str,
-        "gamma": (int, float),
-        "x0": (str, list),
-        "low": (int, float),
-        "high": (int, float),
-    },
-    "function": {
-        "kind": str,
-        "box": list,
-        "value": (int, float),
-    },
-    "commutator": {
-        "b": str,
-        "x0": (str, list),
-    },
-    "op": {
-        "name": str,
-        "grid": int,
-        "phi": str,
-    },
-    "verify": {
-        "theorems": list,
-        "gammas": int,
-        "threshold_factor": (int, float),
-    },
-    "sweep": {
-        "theorems": list,
-        "gammas": int,
-    },
-}
-
-_DEFAULTS = {
-    "run": {"seed": 0, "depth": 8, "battery_depth": 5, "format": "csv",
-            "jobs": 1, "out": "out"},
-    "domain": {"dimension": 1, "origin": [0.0], "side": 1.0},
-    "weight": {"kind": "constant", "gamma": 0.0, "x0": "third",
-               "low": 1.0, "high": 3.0},
-    "function": {"kind": "constant", "value": 1.0},
-    "commutator": {"b": "step", "x0": "third"},
-    "op": {"grid": 0, "phi": "llog"},
-    "verify": {"gammas": 8, "threshold_factor": 4.0},
-    "sweep": {"gammas": 8},
+_NUMBER = (int, float)
+# section -> key -> (accepted type(s), default); None marks a key with no default
+_KEYS: dict[str, dict[str, tuple]] = {
+    "run": {"seed": (int, 0), "depth": (int, 8), "battery_depth": (int, 5), "format": (str, "csv"),
+            "jobs": (int, 1),  # kept so existing configs load; cases run one at a time
+            "out": (str, "out")},
+    "domain": {"dimension": (int, 1), "origin": (list, [0.0]), "side": (_NUMBER, 1.0)},
+    "exponents": {"alpha": (_NUMBER, None), "p": (_NUMBER, None)},
+    "weight": {"kind": (str, "constant"), "gamma": (_NUMBER, 0.0), "x0": ((str, list), "third"),
+               "low": (_NUMBER, 1.0), "high": (_NUMBER, 3.0)},
+    "function": {"kind": (str, "constant"), "box": (list, None), "value": (_NUMBER, 1.0)},
+    "commutator": {"b": (str, "step"), "x0": ((str, list), "third")},
+    "op": {"name": (str, None), "grid": (int, 0), "phi": (str, "llog")},
+    "verify": {"theorems": (list, None), "gammas": (int, 8), "threshold_factor": (_NUMBER, 4.0)},
+    "sweep": {"theorems": (list, None), "gammas": (int, 8)},
 }
 
 
@@ -97,16 +51,16 @@ def load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping of sections")
     for section, body in raw.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section {section!r}")
         if body is None:
             raw[section] = body = {}
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
         for key, value in body.items():
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
-            expected = _SCHEMA[section][key]
+            expected = _KEYS[section][key][0]
             if not isinstance(value, expected):
                 name = getattr(expected, "__name__", None) or \
                     "/".join(t.__name__ for t in expected)
@@ -114,11 +68,11 @@ def load_config(path) -> dict:
                     f"key {section}.{key} must be {name}, got {type(value).__name__}"
                 )
     merged = {}
-    for section, defaults in _DEFAULTS.items():
-        merged[section] = dict(defaults)
-        merged[section].update(raw.get(section, {}))
-    for section in raw:
-        merged.setdefault(section, dict(raw[section]))
+    for section, keys in _KEYS.items():
+        # a section with no defaults appears only when the file names it
+        defaults = {key: default for key, (_, default) in keys.items() if default is not None}
+        if defaults or section in raw:
+            merged[section] = defaults | raw.get(section, {})
     if merged["run"]["jobs"] != 1:
         raise ConfigError("key run.jobs must be 1: cases run one at a time")
     return merged

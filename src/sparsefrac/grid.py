@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -223,21 +223,6 @@ class DyadicGridFamily:
 
     # -- navigation -------------------------------------------------------
 
-    def containing_cube(self, grid_id: int, level: int, x: Sequence[float]) -> DyadicCube:
-        """The unique half-open cube of the grid/level containing x."""
-        self._check_grid(grid_id)
-        self._check_level(level)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < self.ambient_lo) or np.any(x >= self.ambient_hi):
-            raise ValueError(f"point {x.tolist()} outside the ambient box")
-        s = self.side_at(level)
-        e = self._shift_signs(grid_id, level)
-        m = tuple(
-            int(math.floor((x[d] - self.root.origin[d]) / s - e[d] / 3.0))
-            for d in range(self.n)
-        )
-        return DyadicCube(grid_id, level, m)
-
     def children(self, cube: DyadicCube) -> list[DyadicCube]:
         self._check_level(cube.level + 1)
         e = self._shift_signs(cube.grid_id, cube.level)
@@ -302,11 +287,6 @@ class DyadicGridFamily:
             for ei in self._shift_signs(grid_id, level)
         )
 
-    def cubes_inside_root(self, grid_id: int, level: int) -> list[DyadicCube]:
-        """Cubes at one level fully contained in the root box, lexicographic."""
-        axes = [range(lo, hi + 1) for lo, hi in self.inside_range(grid_id, level)]
-        return [DyadicCube(grid_id, level, m) for m in itertools.product(*axes)]
-
     def level_blocks(self, grid_id: int, level: int, depth: int) -> "LevelBlocks":
         """The cubes of one grid level holding a cell centre of the depth-K mesh.
 
@@ -344,30 +324,6 @@ class DyadicGridFamily:
         blocks = LevelBlocks(tuple(start), tuple(idx), tuple(frac), tuple(row))
         self._level_blocks[key] = blocks
         return blocks
-
-    def smallest_covering_cube(self, lo, hi):
-        """Smallest family cube containing the box [lo, hi), or None.
-
-        Scans every grid from fine to coarse.  The one-third shifts
-        guarantee a hit with side at most 6x the box side whenever the box
-        is small relative to the root box (this is the covering trick that
-        lets a finite grid family stand in for all cubes).
-        """
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        eps = 1e-12 * self.root.side
-        best = None
-        for g in range(self.num_grids):
-            for k in range(self.max_level, -1, -1):
-                if self.side_at(k) < np.max(hi - lo):
-                    continue
-                cube = self.containing_cube(g, k, lo)
-                clo, chi = self.cube_bounds(cube)
-                if np.all(lo >= clo - eps) and np.all(hi <= chi + eps):
-                    if best is None or cube.level > best.level:
-                        best = cube
-                    break  # finer levels of this grid cannot contain the box
-        return best
 
 
 @dataclass(frozen=True)
@@ -601,15 +557,6 @@ class GridFunction:
         if np.any(hi <= lo):
             return 0.0
         return float(self.box_integrals(lo[None, :], hi[None, :])[0])
-
-    def box_average(self, lo, hi) -> float:
-        """Integral over the full box volume (zero extension included)."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        vol = float(np.prod(hi - lo))
-        if vol <= 0:
-            raise ValueError("degenerate box")
-        return self.box_integral(lo, hi) / vol
 
     def box_overlap(self, lo, hi):
         """Cells meeting [lo, hi) inside the root box, with overlap fractions.

@@ -12,8 +12,11 @@ former per-(b, f) block form on the library's level gather, which the
 planned commutator must reproduce bit for bit; and
 power_cell_average_2d_recursive, the former recursive power-weight
 quadrature, which the level-batched one must reproduce bit for bit.
+The per-cube exact geometry the level sweeps replaced (containing_cube,
+smallest_covering_cube, cubes_inside_root) and box_average live here too.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +33,63 @@ def cell_bounds(f: GridFunction, index):
     h = f.cell_side
     lo = [f.root.origin[d] + index[d] * h for d in range(f.n)]
     return lo, [v + h for v in lo]
+
+
+def containing_cube(family: DyadicGridFamily, grid_id: int, level: int, x) -> DyadicCube:
+    """The unique half-open cube of the grid/level containing x."""
+    family._check_grid(grid_id)
+    family._check_level(level)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < family.ambient_lo) or np.any(x >= family.ambient_hi):
+        raise ValueError(f"point {x.tolist()} outside the ambient box")
+    s = family.side_at(level)
+    e = family._shift_signs(grid_id, level)
+    m = tuple(
+        int(math.floor((x[d] - family.root.origin[d]) / s - e[d] / 3.0))
+        for d in range(family.n)
+    )
+    return DyadicCube(grid_id, level, m)
+
+
+def cubes_inside_root(family: DyadicGridFamily, grid_id: int, level: int) -> list[DyadicCube]:
+    """Cubes at one level fully contained in the root box, lexicographic."""
+    axes = [range(lo, hi + 1) for lo, hi in family.inside_range(grid_id, level)]
+    return [DyadicCube(grid_id, level, m) for m in itertools.product(*axes)]
+
+
+def smallest_covering_cube(family: DyadicGridFamily, lo, hi):
+    """Smallest family cube containing the box [lo, hi), or None.
+
+    Scans every grid from fine to coarse.  The one-third shifts
+    guarantee a hit with side at most 6x the box side whenever the box
+    is small relative to the root box (this is the covering trick that
+    lets a finite grid family stand in for all cubes).
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    eps = 1e-12 * family.root.side
+    best = None
+    for g in range(family.num_grids):
+        for k in range(family.max_level, -1, -1):
+            if family.side_at(k) < np.max(hi - lo):
+                continue
+            cube = containing_cube(family, g, k, lo)
+            clo, chi = family.cube_bounds(cube)
+            if np.all(lo >= clo - eps) and np.all(hi <= chi + eps):
+                if best is None or cube.level > best.level:
+                    best = cube
+                break  # finer levels of this grid cannot contain the box
+    return best
+
+
+def box_average(f: GridFunction, lo, hi) -> float:
+    """Integral over the full box volume (zero extension included)."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    vol = float(np.prod(hi - lo))
+    if vol <= 0:
+        raise ValueError("degenerate box")
+    return f.box_integral(lo, hi) / vol
 
 
 def overlap_fraction(f: GridFunction, index, lo, hi) -> float:
@@ -693,7 +753,7 @@ def naive_level_set_cubes(values: GridFunction, t: float, family, grid_id: int):
         for child in family.children(cube):
             recurse(child)
 
-    for cube in family.cubes_inside_root(grid_id, 0):
+    for cube in cubes_inside_root(family, grid_id, 0):
         recurse(cube)
     return out
 

@@ -67,9 +67,11 @@ from sparsefrac.weights import (
 from .conftest import refine
 from .oracles import (
     cells_in_cube,
+    containing_cube,
     naive_commutator,
     naive_dyadic_integral,
     naive_orlicz_maximal,
+    smallest_covering_cube,
 )
 
 ROOT1 = RootBox((0.0,), 1.0)
@@ -136,10 +138,10 @@ def test_criterion_02_grid_axioms():
         rng = np.random.default_rng(7)
         for _ in range(2000):
             gid = int(rng.integers(fam.num_grids))
-            p = fam.containing_cube(gid, int(rng.integers(0, 7)),
-                                    rng.uniform(-0.5, 1.5, root.n))
-            q = fam.containing_cube(gid, int(rng.integers(0, 7)),
-                                    rng.uniform(-0.5, 1.5, root.n))
+            p = containing_cube(fam, gid, int(rng.integers(0, 7)),
+                                rng.uniform(-0.5, 1.5, root.n))
+            q = containing_cube(fam, gid, int(rng.integers(0, 7)),
+                                rng.uniform(-0.5, 1.5, root.n))
             ok &= fam.relation(p, q) in ("equal", "p_in_q", "q_in_p", "disjoint")
     fam1 = DyadicGridFamily(ROOT1, 10)
     rng = np.random.default_rng(8)
@@ -147,7 +149,7 @@ def test_criterion_02_grid_axioms():
     for _ in range(1000):
         side = rng.uniform(2.0 ** -9, 1.0 / 8.0)
         lo = rng.uniform(0.0, 1.0 - side)
-        best = fam1.smallest_covering_cube([lo], [lo + side])
+        best = smallest_covering_cube(fam1, [lo], [lo + side])
         ok &= best is not None
         worst_ratio = max(worst_ratio, fam1.side_at(best.level) / side)
     ok &= worst_ratio <= 6.0
@@ -399,7 +401,7 @@ def test_criterion_09_decomposition_machinery():
         for gid in (0, 1):
             full = dyadic_fractional_integral(f, alpha, fam, gid).cells
             k = int(rng.integers(0, 9))
-            cube = fam.containing_cube(gid, k, rng.uniform(0, 1, 1))
+            cube = containing_cube(fam, gid, k, rng.uniform(0, 1, 1))
             inner, outer = inner_outer_split(f, alpha, cube, fam)
             (i0, i1), = cells_in_cube(fam, cube, 8)
             if i0 < i1:

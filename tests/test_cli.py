@@ -13,8 +13,17 @@ import sparsefrac
 from sparsefrac import config, operators, verify
 from sparsefrac.cli import main
 from sparsefrac.config import ConfigError, load_config
-from sparsefrac.grid import read_gridfunction
+from sparsefrac.grid import DyadicGridFamily, RootBox, read_gridfunction
+from sparsefrac.orlicz import POWER1
 from sparsefrac.sparse import sparse_family_from_json
+from sparsefrac.verify import BumpSpec, FunctionSpec, WeightSpec
+from sparsefrac.weights import (
+    CubeBattery,
+    ExponentTriple,
+    a1_characteristic,
+    a1q_characteristic,
+    reverse_holder_exponent,
+)
 
 
 BASE_CONFIG = """\
@@ -332,3 +341,202 @@ def test_library_import_footprint():
     # Gauss-Legendre rule is written out): each costs every worker set-up time
     names = ("numpy.polynomial", "scipy", "yaml", "click")
     assert loaded_after_import("sparsefrac", names) == "[]"
+
+
+OP_CONFIG = """\
+run:
+  depth: 6
+  battery_depth: 4
+  out: {out}
+domain:
+  dimension: 1
+  origin: [0.0]
+  side: 1.0
+exponents:
+  alpha: 0.3333333333333333
+  p: 2.0
+weight:
+  kind: power
+  gamma: -0.2
+  x0: third
+function:
+  kind: indicator
+  box: [[0.25], [0.75]]
+  value: 2.0
+commutator:
+  b: logdist
+  x0: third
+op:
+  name: {name}
+  grid: 1
+  phi: power1
+"""
+
+
+def direct_operator(name: str):
+    """The library call op should make for OP_CONFIG, built without the CLI."""
+    root = RootBox((0.0,), 1.0)
+    e = ExponentTriple(1, 0.3333333333333333, 2.0)
+    fam = DyadicGridFamily(root, 6)
+    sigma = verify.materialize_weight(WeightSpec("power", -0.2, "third"), root, 6).sigma(e)
+    f = verify.materialize_function(FunctionSpec("indicator", ((0.25,), (0.75,)), 2.0), root, 6)
+    b = verify.materialize_bump(BumpSpec("logdist", "third"), root, 6)
+    return {
+        "riesz_potential": lambda: operators.riesz_potential_1d(f, e.alpha),
+        "dyadic_fractional_integral": lambda: operators.dyadic_fractional_integral(
+            f, e.alpha, fam, 1),
+        "dyadic_fractional_maximal": lambda: operators.dyadic_fractional_maximal(
+            f, e.alpha, fam, 1),
+        "fractional_maximal": lambda: operators.fractional_maximal(f, e.alpha, fam),
+        "weighted_orlicz_fractional_maximal": lambda: operators.weighted_orlicz_fractional_maximal(
+            f, sigma, e.alpha, POWER1, fam, 1),
+        "commutator": lambda: operators.commutator_1d(b, f, e.alpha),
+        "dyadic_commutator": lambda: operators.dyadic_commutator(b, f, e.alpha, fam, 1),
+    }[name]()
+
+
+def exits_2_naming(runner, command, path, text):
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {text}" in result.output
+    return result
+
+
+class TestFrontEndBranches:
+    @pytest.mark.parametrize("name", [
+        "riesz_potential", "dyadic_fractional_integral", "dyadic_fractional_maximal",
+        "fractional_maximal", "weighted_orlicz_fractional_maximal", "commutator",
+        "dyadic_commutator"])
+    def test_op_equals_direct_call(self, runner, tmp_path, name):
+        out = tmp_path / "out"
+        path = tmp_path / "op.yaml"
+        path.write_text(OP_CONFIG.format(out=out, name=name))
+        result = runner.invoke(main, ["op", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        expected = direct_operator(name)
+        got = read_gridfunction(out / f"op_{name}.bin")
+        assert got.cells.tobytes() == expected.values.cells.astype("<f8").tobytes()
+        assert result.output == (f"{name}: wrote {out / f'op_{name}.bin'} "
+                                 f"(cube visits {expected.cube_visits})\n")
+
+    def test_char_at_p1_rows(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("p: 2.0", "p: 1.0"))
+        result = runner.invoke(main, ["char", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        root = RootBox((0.0,), 1.0)
+        e = ExponentTriple(1, 0.3333333333333333, 1.0)
+        w = verify.materialize_weight(WeightSpec("power", -0.2, "third"), root, 6)
+        battery = CubeBattery(DyadicGridFamily(root, 6), 4)
+        rows = {
+            "a1q_characteristic": a1q_characteristic(w, e, battery),
+            "a1_of_v": a1_characteristic(w.v(e), battery),
+            "reverse_holder_of_v": reverse_holder_exponent(w.v(e), battery),
+        }
+        assert result.output == "".join(f"{k} {v:.17g}\n" for k, v in rows.items())
+        assert (out / "characteristics.csv").read_text() == "name,value\n" + "".join(
+            f"{k},{v:.17g}\n" for k, v in sorted(rows.items()))
+
+    def test_out_override(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        other = tmp_path / "other"
+        result = runner.invoke(main, ["char", "--config", str(path), "--out", str(other)])
+        assert result.exit_code == 0, result.output
+        assert not out.exists()
+        assert (other / "characteristics.csv").exists()
+        assert json.loads((other / "run_meta.json").read_text())["run"]["out"] == str(other)
+
+    def test_origin_length_must_match_dimension(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("dimension: 1", "dimension: 2"))
+        exits_2_naming(runner, "char", path, "domain.origin length must match domain.dimension")
+        assert not out.exists()
+
+    def test_indicator_needs_box(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text() + "function:\n  kind: indicator\n")
+        for command in ("op", "sparse"):
+            exits_2_naming(runner, command, path, "missing required key 'function.box'")
+
+    def test_op_needs_name(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("  name: dyadic_fractional_integral\n", ""))
+        exits_2_naming(runner, "op", path, "missing required key 'op.name'")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("theorems", ["[]", None])
+    def test_battery_needs_theorems(self, runner, tmp_path, command, theorems):
+        path, out = write_config(tmp_path)
+        text = path.read_text()
+        head, _, tail = text.partition(f"{command}:\n  theorems: ")
+        tail = tail.split("\n", 1)[1]
+        path.write_text(head + f"{command}:\n" + (f"  theorems: {theorems}\n" if theorems else "")
+                        + tail)
+        exits_2_naming(runner, command, path, f"missing required key '{command}.theorems'")
+        assert not out.exists()
+
+    def test_sweep_needs_a_characteristic(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "sweep:\n  theorems: [strong_pq]", "sweep:\n  theorems: [maximal_pq]"))
+        exits_2_naming(runner, "sweep", path,
+                       "theorem maximal_pq has no characteristic to sweep")
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("bogus:\n  a: 1\n", "unknown section 'bogus'"),
+        ("run: 3\n", "section 'run' must be a mapping"),
+        ("- run\n", "config root must be a mapping of sections"),
+        ("run:\n  depth: deep\n", "key run.depth must be int, got str"),
+        ("domain:\n  side: wide\n", "key domain.side must be int/float, got str"),
+        ("weight:\n  x0: 3\n", "key weight.x0 must be str/list, got int"),
+    ])
+    def test_message(self, runner, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+        result = runner.invoke(main, ["char", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.yaml"
+        with pytest.raises(ConfigError, match="No such file") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+    def test_empty_file_loads_every_default(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert load_config(path) == {
+            "run": {"seed": 0, "depth": 8, "battery_depth": 5, "format": "csv",
+                    "jobs": 1, "out": "out"},
+            "domain": {"dimension": 1, "origin": [0.0], "side": 1.0},
+            "weight": {"kind": "constant", "gamma": 0.0, "x0": "third",
+                       "low": 1.0, "high": 3.0},
+            "function": {"kind": "constant", "value": 1.0},
+            "commutator": {"b": "step", "x0": "third"},
+            "op": {"grid": 0, "phi": "llog"},
+            "verify": {"gammas": 8, "threshold_factor": 4.0},
+            "sweep": {"gammas": 8},
+        }
+
+
+class TestSurface:
+    def test_commands_and_parameters(self):
+        # the benchmark drives `verify --config`; users drive every flag and
+        # its SPARSEFRAC_<COMMAND>_<FLAG> variable
+        assert set(main.commands) == {"char", "op", "sparse", "verify", "sweep"}
+        for command in main.commands.values():
+            assert [p.name for p in command.params] == [
+                "config_path", "out_dir", "seed", "depth", "fmt"]
+
+    def test_env_var_reaches_char(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        result = runner.invoke(main, ["char", "--config", str(path)],
+                               env={"SPARSEFRAC_CHAR_DEPTH": "5"})
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "run_meta.json").read_text())["run"]["depth"] == 5

@@ -14,7 +14,15 @@ from sparsefrac.grid import (
     write_gridfunction,
 )
 
-from .oracles import cells_in_cube, naive_box_integral, naive_cube_average
+from .oracles import (
+    box_average,
+    cells_in_cube,
+    containing_cube,
+    cubes_inside_root,
+    naive_box_integral,
+    naive_cube_average,
+    smallest_covering_cube,
+)
 
 
 def test_root_box_validation():
@@ -32,14 +40,14 @@ def test_family_size(root1, root2):
 class TestEnumeration:
     def test_level0_identity_tiling(self, root1):
         fam = DyadicGridFamily(root1, 4)
-        inside = fam.cubes_inside_root(0, 0)
+        inside = cubes_inside_root(fam, 0, 0)
         assert inside == [DyadicCube(0, 0, (0,))]
         lo, hi = fam.cube_bounds(inside[0])
         assert lo[0] == 0.0 and hi[0] == 1.0
 
     def test_level2_binary_subdivision(self, root1):
         fam = DyadicGridFamily(root1, 4)
-        cubes = fam.cubes_inside_root(0, 2)
+        cubes = cubes_inside_root(fam, 0, 2)
         assert len(cubes) == 4
         bounds = sorted(fam.cube_bounds(c)[0][0] for c in cubes)
         assert bounds == [0.0, 0.25, 0.5, 0.75]
@@ -47,7 +55,7 @@ class TestEnumeration:
     def test_level3_2d_count_and_area(self, root2):
         # brute count: 4^3 cubes tile the unit square
         fam = DyadicGridFamily(root2, 4)
-        cubes = fam.cubes_inside_root(0, 3)
+        cubes = cubes_inside_root(fam, 0, 3)
         assert len(cubes) == 64
         area = sum(fam.volume_at(c.level) for c in cubes)
         assert area == pytest.approx(1.0, abs=1e-15)
@@ -100,8 +108,8 @@ class TestGridAxioms:
             kp, kq = rng.integers(0, 7, size=2)
             x = rng.uniform(-0.5, 1.5, size=dim)
             y = rng.uniform(-0.5, 1.5, size=dim)
-            p = fam.containing_cube(gid, int(kp), x)
-            q = fam.containing_cube(gid, int(kq), y)
+            p = containing_cube(fam, gid, int(kp), x)
+            q = containing_cube(fam, gid, int(kq), y)
             assert fam.relation(p, q) in ("equal", "p_in_q", "q_in_p", "disjoint")
 
     def test_children_tile_parent_exactly(self, root1):
@@ -110,7 +118,7 @@ class TestGridAxioms:
         for _ in range(200):
             gid = int(rng.integers(2))
             k = int(rng.integers(0, 8))
-            cube = fam.containing_cube(gid, k, rng.uniform(0, 1, 1))
+            cube = containing_cube(fam, gid, k, rng.uniform(0, 1, 1))
             kids = fam.children(cube)
             assert len(kids) == 2
             lo, hi, _ = fam.cube_bounds_thirds(cube)
@@ -150,7 +158,7 @@ class TestGridAxioms:
         for _ in range(1000):
             side = rng.uniform(2.0 ** -9, 1.0 / 8.0)
             lo = rng.uniform(0.0, 1.0 - side)
-            best = fam.smallest_covering_cube([lo], [lo + side])
+            best = smallest_covering_cube(fam, [lo], [lo + side])
             assert best is not None
             worst = max(worst, fam.side_at(best.level) / side)
         assert worst <= 6.0
@@ -167,7 +175,7 @@ class TestLevelBlocks:
         for gid in range(fam.num_grids):
             for k in range(depth + 1):
                 blocks = fam.level_blocks(gid, k, depth)
-                for cube in fam.cubes_inside_root(gid, k):
+                for cube in cubes_inside_root(fam, gid, k):
                     sel = blocks.select([(c, c) for c in cube.coords])
                     sl, frac = f.box_overlap(*fam.cube_bounds(cube))
                     vals, fracs = blocks.rows(f.cells, sel)
@@ -200,19 +208,19 @@ class TestContainingCube:
     def test_origin(self, root1):
         fam = DyadicGridFamily(root1, 6)
         for k in range(7):
-            assert fam.containing_cube(0, k, [0.0]).coords == (0,)
+            assert containing_cube(fam, 0, k, [0.0]).coords == (0,)
 
     def test_half_open_convention(self, root1):
         fam = DyadicGridFamily(root1, 6)
-        left = fam.containing_cube(0, 1, [0.49])
-        right = fam.containing_cube(0, 1, [0.5])
+        left = containing_cube(fam, 0, 1, [0.49])
+        right = containing_cube(fam, 0, 1, [0.5])
         assert fam.cube_bounds(left)[0][0] == 0.0
         assert fam.cube_bounds(right)[0][0] == 0.5
 
     def test_outside_ambient_rejected(self, root1):
         fam = DyadicGridFamily(root1, 6)
         with pytest.raises(ValueError):
-            fam.containing_cube(0, 2, [2.5])
+            containing_cube(fam, 0, 2, [2.5])
 
 
 class TestBoxIntegral:
@@ -268,18 +276,18 @@ class TestCubeAverage:
         fam = DyadicGridFamily(root1, 6)
         f = GridFunction.constant(root1, 6, 4.2)
         for gid in (0, 1):
-            cube = fam.containing_cube(gid, 3, [0.51])
+            cube = containing_cube(fam, gid, 3, [0.51])
             lo, hi = fam.cube_bounds(cube)
             # shifted cubes may stick outside where f vanishes
             if np.all(lo >= 0) and np.all(hi <= 1):
-                assert f.box_average(lo, hi) == pytest.approx(4.2, rel=1e-13)
+                assert box_average(f, lo, hi) == pytest.approx(4.2, rel=1e-13)
 
     def test_left_half_indicator(self, root1):
         fam = DyadicGridFamily(root1, 6)
-        cube = fam.containing_cube(0, 2, [0.3])
+        cube = containing_cube(fam, 0, 2, [0.3])
         lo, hi = fam.cube_bounds(cube)
         f = GridFunction.indicator(root1, 6, lo, [(lo[0] + hi[0]) / 2])
-        assert f.box_average(lo, hi) == pytest.approx(0.5, abs=1e-14)
+        assert box_average(f, lo, hi) == pytest.approx(0.5, abs=1e-14)
 
     def test_random_against_naive(self, root1):
         fam = DyadicGridFamily(root1, 6)
@@ -288,9 +296,9 @@ class TestCubeAverage:
         for _ in range(40):
             gid = int(rng.integers(2))
             k = int(rng.integers(0, 7))
-            cube = fam.containing_cube(gid, k, rng.uniform(0, 1, 1))
+            cube = containing_cube(fam, gid, k, rng.uniform(0, 1, 1))
             lo, hi = fam.cube_bounds(cube)
-            got = f.box_average(lo, hi)
+            got = box_average(f, lo, hi)
             ref = naive_cube_average(f, fam, cube)
             assert got == pytest.approx(ref, abs=1e-12)
 

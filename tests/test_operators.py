@@ -26,6 +26,7 @@ from sparsefrac.weights import CubeBattery
 from .conftest import refine
 from .oracles import (
     cells_in_cube,
+    containing_cube,
     dyadic_commutator_blocks,
     dyadic_commutator_naive,
     naive_commutator,
@@ -154,7 +155,7 @@ class TestSparseFractionalIntegral:
         rng = np.random.default_rng(3)
         f = GridFunction(root1, rng.uniform(0, 1, 32))
         cubes = [
-            fam.containing_cube(0, int(rng.integers(0, 6)), rng.uniform(0, 1, 1))
+            containing_cube(fam, 0, int(rng.integers(0, 6)), rng.uniform(0, 1, 1))
             for _ in range(8)
         ]
         cubes = sorted(set(cubes))
@@ -415,7 +416,7 @@ class TestInnerOuterSplit:
         fam = DyadicGridFamily(root1, 6)
         rng = np.random.default_rng(13)
         f = GridFunction(root1, rng.uniform(0, 1, 64))
-        cube = fam.containing_cube(0, 6, [0.3])
+        cube = containing_cube(fam, 0, 6, [0.3])
         inner, outer = inner_outer_split(f, 0.5, cube, fam)
         i = cells_in_cube(fam, cube, 6)[0][0]
         expect = fam.side_at(6) ** 0.5 * f.cells[i]
@@ -429,7 +430,7 @@ class TestInnerOuterSplit:
         full = dyadic_fractional_integral(f, 0.5, fam, gid).cells
         for _ in range(20):
             k = int(rng.integers(0, 9))
-            cube = fam.containing_cube(gid, k, rng.uniform(0, 1, 1))
+            cube = containing_cube(fam, gid, k, rng.uniform(0, 1, 1))
             inner, outer = inner_outer_split(f, 0.5, cube, fam)
             (i0, i1), = cells_in_cube(fam, cube, 8)
             if i0 >= i1:

@@ -18,6 +18,7 @@ from sparsefrac.sparse import (
 
 from .conftest import refine
 from .oracles import (
+    cubes_inside_root,
     naive_carrier,
     naive_certify,
     naive_cz_stopping,
@@ -322,7 +323,7 @@ class TestSparseDomination:
         full = dyadic_fractional_integral(f, 0.5, fam8, 0).cells
         part = sparse_fractional_integral(f, 0.5, fam8, sel.cubes).cells
         ratio_small = np.max(full[part > 0] / part[part > 0])
-        extra = [c for k in range(3) for c in fam8.cubes_inside_root(0, k)]
+        extra = [c for k in range(3) for c in cubes_inside_root(fam8, 0, k)]
         bigger = sorted(set(sel.cubes) | set(extra))
         part2 = sparse_fractional_integral(f, 0.5, fam8, bigger).cells
         ratio_big = np.max(full[part2 > 0] / part2[part2 > 0])

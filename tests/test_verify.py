@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsefrac import operators, orlicz, verify
+from sparsefrac import cli, operators, orlicz, verify
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
 from sparsefrac.operators import dyadic_fractional_maximal
 from sparsefrac.weights import ExponentTriple
@@ -44,6 +44,21 @@ from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_l
 
 E_THIRD = ExponentTriple(1, 1.0 / 3.0, 2.0)
 E_HALF_P1 = ExponentTriple(1, 0.5, 1.0)
+
+
+@contextlib.contextmanager
+def benchmark_tracer():
+    """perfbench/tracer.py's Tracer, installed for the block."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
 
 
 def case_for(theorem, e=E_THIRD, weight=None, func=None, bump=None, phi="llog",
@@ -575,21 +590,30 @@ class TestRunScope:
     def test_benchmark_tracer_counts_builds(self):
         # perfbench/tracer.py counts a build as the growth of _WORKSPACE_CACHE
         # or _WEIGHT_CACHE during the call, and wraps these names by binding
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
+        with benchmark_tracer() as tracer:
             with verify.run_scope():
                 verify.run_battery("strong_pq", E_THIRD, depth=6, battery_depth=4, gammas=2)
             metrics = tracer.layer_metrics()
-        finally:
-            tracer.uninstall()
         assert metrics["verify.workspace.builds"] >= 1
         assert metrics["verify.materialize_weight.calls"] >= 1
         assert metrics["verify.materialize_weight.hit_ratio"] < 1
+
+    def test_benchmark_tracer_wraps_cli_verify(self, tmp_path):
+        # the benchmark runs cli.main(["verify", ...], standalone_mode=False)
+        # with cli.verify.callback wrapped by the tracer
+        out = tmp_path / "out"
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"run:\n  depth: 6\n  battery_depth: 4\n  out: {out}\n"
+            "exponents:\n  alpha: 0.3333333333333333\n  p: 2.0\n"
+            "verify:\n  theorems: [strong_pq]\n  gammas: 2\n")
+        with benchmark_tracer() as tracer:
+            cli.main(["verify", "--config", str(path)], standalone_mode=False)
+            spans = [name for name, *_ in tracer.spans]
+            metrics = tracer.layer_metrics()
+        assert spans.count("cli.verify") == 1
+        assert metrics["cli.verify.self_s"] > 0
+        assert metrics["verify.write_reports.bytes"] == (out / "reports.csv").stat().st_size
 
     def test_outside_a_scope_every_call_computes(self, monkeypatch):
         calls = []

@@ -29,6 +29,9 @@ from sparsefrac.weights import (
 from sparsefrac.verify import sweep_gammas
 
 from .oracles import (
+    box_average,
+    containing_cube,
+    cubes_inside_root,
     naive_box_integral,
     power_cell_average_2d_mp,
     power_cell_average_2d_recursive,
@@ -91,7 +94,7 @@ class TestWeightedMeasure:
         for _ in range(20):
             gid = int(rng.integers(2))
             k = int(rng.integers(0, 7))
-            cube = fam10.containing_cube(gid, k, rng.uniform(0, 1, 1))
+            cube = containing_cube(fam10, gid, k, rng.uniform(0, 1, 1))
             lo, hi = fam10.cube_bounds(cube)
             got = weighted_measure(sigma, lo, hi)
             assert got == pytest.approx(naive_box_integral(sigma, lo, hi), abs=1e-12)
@@ -108,7 +111,7 @@ class TestWeightedAverage:
         f = GridFunction(root1, rng.uniform(0, 1, 64))
         sigma = GridFunction.constant(root1, 6, 1.0)
         got = weighted_average(f, [0.25], [0.75], sigma)
-        assert got == pytest.approx(f.box_average([0.25], [0.75]), rel=1e-12)
+        assert got == pytest.approx(box_average(f, [0.25], [0.75]), rel=1e-12)
 
     def test_inverse_density(self, root1):
         rng = np.random.default_rng(3)
@@ -131,7 +134,7 @@ class TestCubeBattery:
         fam = DyadicGridFamily(RootBox((0.0,) * n, 1.0), depth)
         bat = CubeBattery(fam, level)
         assert bat.cubes == [c for g in range(fam.num_grids) for k in range(level + 1)
-                             for c in fam.cubes_inside_root(g, k)]
+                             for c in cubes_inside_root(fam, g, k)]
         lo = np.array([fam.cube_bounds(c)[0] for c in bat.cubes])
         hi = np.array([fam.cube_bounds(c)[1] for c in bat.cubes])
         vol = np.array([fam.volume_at(c.level) for c in bat.cubes])
@@ -205,7 +208,7 @@ class TestCharacteristics:
         best = 0.0
         for gid in range(fam.num_grids):
             for level in range(k_char + 1):
-                for cube in fam.cubes_inside_root(gid, level):
+                for cube in cubes_inside_root(fam, gid, level):
                     lo, hi = fam.cube_bounds(cube)
                     vol = fam.volume_at(level)
                     wts = overlap_weights(v, lo, hi)
