@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config, require
+from .config import FORMATS, ConfigError, load_config, require
 from .grid import GridFunction, RootBox, write_gridfunction
 from .operators import (
     commutator_1d,
@@ -28,10 +28,10 @@ from .operators import (
     riesz_potential_1d,
     weighted_orlicz_fractional_maximal,
 )
-from .orlicz import LLOG, POWER1
 from .sparse import certify_sparse, sparse_family_to_json, sparse_select_for_operator
 from .verify import (
-    CHARACTERISTIC_POWERS,
+    THEOREM_TABLE,
+    YOUNG_FUNCTIONS,
     materialize_bump,
     materialize_function,
     materialize_weight,
@@ -63,7 +63,7 @@ _OPTIONS = [
     click.option("--seed", default=None, type=int, help="only recorded in run_meta.json"),
     click.option("--depth", default=None, type=int, help="mesh depth K override"),
     click.option("--format", "fmt", default=None,
-                 type=click.Choice(["csv", "json"]), help="report format"),
+                 type=click.Choice(FORMATS), help="report format"),
 ]
 
 
@@ -203,7 +203,6 @@ def _bump(s: _Setup) -> GridFunction:
     return materialize_bump(BumpSpec(bc["b"], bc["x0"]), s.root, s.depth)
 
 
-_PHI = {"power1": POWER1, "llog": LLOG}
 # op.name -> (needs domain.dimension 1, apply(setup, f, sigma, family, grid id))
 _OPERATORS = {
     "riesz_potential": (True, lambda s, f, sigma, fam, gid: riesz_potential_1d(f, s.e.alpha)),
@@ -215,8 +214,8 @@ _OPERATORS = {
                            fractional_maximal(f, s.e.alpha, fam)),
     "weighted_orlicz_fractional_maximal": (False, lambda s, f, sigma, fam, gid:
                                            weighted_orlicz_fractional_maximal(
-                                               f, sigma, s.e.alpha, _PHI[s.cfg["op"]["phi"]],
-                                               fam, gid)),
+                                               f, sigma, s.e.alpha,
+                                               YOUNG_FUNCTIONS[s.cfg["op"]["phi"]], fam, gid)),
     "commutator": (True, lambda s, f, sigma, fam, gid: commutator_1d(_bump(s), f, s.e.alpha)),
     "dyadic_commutator": (False, lambda s, f, sigma, fam, gid:
                           dyadic_commutator(_bump(s), f, s.e.alpha, fam, gid)),
@@ -263,22 +262,24 @@ def sparse(s: _Setup):
         sys.exit(1)
 
 
-def _batteries(s: _Setup, section: str, check, emit, **options) -> None:
-    """Run the battery of every theorem in <section>.theorems in one run
-    scope, with run_meta.json written before and after.  check(theorem,
-    exponents) rejects a theorem before its battery runs; emit(theorem,
-    exponents, result) gets each battery's result."""
+def _batteries(s: _Setup, section: str, emit, check=None, **options) -> None:
+    """Run the battery of every theorem in <section>.theorems in one run scope,
+    with run_meta.json written before and after: an endpoint theorem at p = 1,
+    any other at the configured p, which must exceed 1.  check(theorem) may
+    reject a theorem first; emit(theorem, exponents, result) gets each result."""
     theorems = s.cfg[section].get("theorems")
     if not theorems:
         _fail_config(f"missing required key '{section}.theorems'")
     _write_meta(s)
     with run_scope() as scope:
         for theorem in theorems:
+            if check is not None:
+                check(theorem)
             te = s.e
-            if theorem == "weak_1q" and te.p != 1:
-                # the endpoint inequality lives at p = 1 with the same alpha
+            if THEOREM_TABLE[theorem].p == "= 1":
                 te = ExponentTriple(te.n, te.alpha, 1.0)
-            check(theorem, te)
+            elif te.p == 1:
+                _fail_config(f"theorem {theorem} needs exponents.p > 1")
             result = run_battery(theorem, te, s.root, depth=s.depth,
                                  battery_depth=s.battery_depth,
                                  gammas=s.cfg[section]["gammas"], **options)
@@ -292,10 +293,6 @@ def verify(s: _Setup):
     all_reports = []
     failed = []
 
-    def check(theorem, te):
-        if theorem != "weak_1q" and te.p == 1:
-            _fail_config(f"theorem {theorem} needs exponents.p > 1")
-
     def emit(theorem, te, result):
         all_reports.extend(result.reports)
         click.echo(
@@ -306,8 +303,7 @@ def verify(s: _Setup):
         if not result.all_passed:
             failed.append(result.first_failure())
 
-    _batteries(s, "verify", check, emit,
-               threshold_factor=s.cfg["verify"]["threshold_factor"])
+    _batteries(s, "verify", emit, threshold_factor=s.cfg["verify"]["threshold_factor"])
     if s.cfg["run"]["format"] == "json":
         write_reports_json(all_reports, s.out / "reports.json")
     else:
@@ -326,17 +322,17 @@ def verify(s: _Setup):
 def sweep(s: _Setup):
     """Gamma sweeps with plot-data export and slope fits."""
 
-    def check(theorem, te):
-        if theorem not in CHARACTERISTIC_POWERS:
+    def check(theorem):
+        if THEOREM_TABLE[theorem].power is None:
             _fail_config(f"theorem {theorem} has no characteristic to sweep")
 
     def emit(theorem, te, result):
         path = s.out / f"sweep_{theorem}.csv"
         slope = write_sweep_csv(result, path)
-        power = CHARACTERISTIC_POWERS[theorem](te)
+        power = THEOREM_TABLE[theorem].power(te)
         click.echo(f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}")
 
-    _batteries(s, "sweep", check, emit)
+    _batteries(s, "sweep", emit, check)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Experiment configuration: a strict YAML schema with line-anchored errors.
 
-Unknown sections or keys are rejected, required keys are reported by their
-dotted path, and YAML syntax errors surface with the parser's line/column
-mark.
+Unknown sections or keys are rejected, and so is a name that the table of
+its key does not hold; required keys are reported by their dotted path, and
+YAML syntax errors surface with the parser's line/column mark.
 """
 
 from __future__ import annotations
 
 import yaml
 
-__all__ = ["ConfigError", "load_config", "require"]
+from .verify import BUMP_KINDS, FUNCTION_KINDS, THEOREM_TABLE, WEIGHT_KINDS, YOUNG_FUNCTIONS
+from .weights import CENTERS
+
+__all__ = ["ConfigError", "FORMATS", "load_config", "require"]
 
 
 class ConfigError(ValueError):
@@ -18,20 +21,26 @@ class ConfigError(ValueError):
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser, when built
 _NUMBER = (int, float)
-# section -> key -> (accepted type(s), default); None marks a key with no default
+FORMATS = ("csv", "json")  # of the char and verify reports
+# section -> key -> (accepted type(s), default[, table]); None marks a key with no
+# default, and a choice key's str value, or each entry of its list, must be a key
+# of its table
 _KEYS: dict[str, dict[str, tuple]] = {
-    "run": {"seed": (int, 0), "depth": (int, 8), "battery_depth": (int, 5), "format": (str, "csv"),
+    "run": {"seed": (int, 0), "depth": (int, 8), "battery_depth": (int, 5),
+            "format": (str, "csv", FORMATS),
             "jobs": (int, 1),  # kept so existing configs load; cases run one at a time
             "out": (str, "out")},
     "domain": {"dimension": (int, 1), "origin": (list, [0.0]), "side": (_NUMBER, 1.0)},
     "exponents": {"alpha": (_NUMBER, None), "p": (_NUMBER, None)},
-    "weight": {"kind": (str, "constant"), "gamma": (_NUMBER, 0.0), "x0": ((str, list), "third"),
-               "low": (_NUMBER, 1.0), "high": (_NUMBER, 3.0)},
-    "function": {"kind": (str, "constant"), "box": (list, None), "value": (_NUMBER, 1.0)},
-    "commutator": {"b": (str, "step"), "x0": ((str, list), "third")},
-    "op": {"name": (str, None), "grid": (int, 0), "phi": (str, "llog")},
-    "verify": {"theorems": (list, None), "gammas": (int, 8), "threshold_factor": (_NUMBER, 4.0)},
-    "sweep": {"theorems": (list, None), "gammas": (int, 8)},
+    "weight": {"kind": (str, "constant", WEIGHT_KINDS), "x0": ((str, list), "third", CENTERS),
+               "gamma": (_NUMBER, 0.0), "low": (_NUMBER, 1.0), "high": (_NUMBER, 3.0)},
+    "function": {"kind": (str, "constant", FUNCTION_KINDS), "box": (list, None),
+                 "value": (_NUMBER, 1.0)},
+    "commutator": {"b": (str, "step", BUMP_KINDS), "x0": ((str, list), "third", CENTERS)},
+    "op": {"name": (str, None), "grid": (int, 0), "phi": (str, "llog", YOUNG_FUNCTIONS)},
+    "verify": {"theorems": (list, None, THEOREM_TABLE), "gammas": (int, 8),
+               "threshold_factor": (_NUMBER, 4.0)},
+    "sweep": {"theorems": (list, None, THEOREM_TABLE), "gammas": (int, 8)},
 }
 
 
@@ -60,21 +69,31 @@ def load_config(path) -> dict:
         for key, value in body.items():
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
-            expected = _KEYS[section][key][0]
+            expected, _, *tables = _KEYS[section][key]
             if not isinstance(value, expected):
                 name = getattr(expected, "__name__", None) or \
                     "/".join(t.__name__ for t in expected)
                 raise ConfigError(
                     f"key {section}.{key} must be {name}, got {type(value).__name__}"
                 )
+            entries = value if expected is list else [value] if isinstance(value, str) else []
+            for table in tables:  # a list x0 holds coordinates, not names
+                for entry in entries:
+                    if not (isinstance(entry, str) and entry in table):
+                        raise ConfigError(f"key {section}.{key}: {entry!r} is not one of "
+                                          f"{', '.join(table)}")
     merged = {}
     for section, keys in _KEYS.items():
         # a section with no defaults appears only when the file names it
-        defaults = {key: default for key, (_, default) in keys.items() if default is not None}
+        defaults = {key: spec[1] for key, spec in keys.items() if spec[1] is not None}
         if defaults or section in raw:
             merged[section] = defaults | raw.get(section, {})
     if merged["run"]["jobs"] != 1:
         raise ConfigError("key run.jobs must be 1: cases run one at a time")
+    grids = 2 ** merged["domain"]["dimension"]
+    if not 0 <= merged["op"]["grid"] < grids:
+        raise ConfigError(f"key op.grid must be in [0, {grids}) in dimension "
+                          f"{merged['domain']['dimension']}")
     return merged
 
 

@@ -9,6 +9,9 @@ Measured constants are also swept in the mesh depth to check refinement
 stability, and the growth of the normalized left side against the
 characteristic is slope-fitted to confirm the stated powers suffice.
 
+Each theorem is a row of THEOREM_TABLE; weight, function and bump kinds and
+Young functions are names in tables, which the CLI's config check also reads.
+
 Batteries cross a few inputs with several weights and theorems, so a run
 (run_battery, the CLI's verify and sweep) opens a run_scope, in which each
 workspace, weight, function, bump, characteristic and repeated operator
@@ -23,6 +26,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,7 +65,7 @@ __all__ = [
     "VerificationReport",
     "BatteryResult",
     "PartitionDiagnostic",
-    "THEOREMS",
+    "THEOREM_TABLE",
     "verify_case",
     "run_scope",
     "RunScope",
@@ -89,30 +93,13 @@ __all__ = [
 DEFAULT_ROOT_1D = RootBox((0.0,), 1.0)
 DEFAULT_ROOT_2D = RootBox((0.0, 0.0), 1.0)
 
-THEOREMS = (
-    "weak_1q",
-    "strong_pq",
-    "commutator_strong",
-    "maximal_pq",
-    "weighted_bmo",
-    "cube_summation",
-    "duality_cubes",
-)
-
-# exponent of the characteristic in the right side, per inequality
-CHARACTERISTIC_POWERS = {
-    "weak_1q": lambda e: e.weak_power,
-    "strong_pq": lambda e: e.strong_power,
-    "commutator_strong": lambda e: e.commutator_power,
-}
-
 
 # -- case specification --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    kind: str = "constant"  # constant | power | step
+    kind: str = "constant"  # a name of WEIGHT_KINDS
     gamma: float = 0.0
     x0: str | tuple = "third"
     low: float = 1.0
@@ -126,7 +113,7 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    kind: str = "constant"  # constant | indicator | sigma_probe
+    kind: str = "constant"  # a name of FUNCTION_KINDS
     box: tuple | None = None  # ((lo...) , (hi...)) in absolute coordinates
     value: float = 1.0
     name: str = ""
@@ -137,7 +124,7 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    kind: str = "step"  # constant | step | logdist
+    kind: str = "step"  # a name of BUMP_KINDS
     x0: str | tuple = "third"
     value: float = 1.0
 
@@ -155,7 +142,7 @@ class TestCase:
     weight: WeightSpec
     func: FunctionSpec
     bump: BumpSpec | None = None
-    phi: str = "llog"  # for the maximal-operator lemma
+    phi: str = "llog"  # a name of YOUNG_FUNCTIONS, for the maximal-operator lemma
     depth: int = 8
     battery_depth: int = 5
     root: RootBox = DEFAULT_ROOT_1D
@@ -256,52 +243,56 @@ def workspace(root: RootBox, depth: int, battery_depth: int) -> Workspace:
     return _kept(_WORKSPACE_CACHE, "workspace", (root, depth, battery_depth), build)
 
 
+def _logdist_bump(spec: BumpSpec, root: RootBox, depth: int) -> GridFunction:
+    x0 = named_center(root, spec.x0)
+    if root.n == 1:
+        return GridFunction.from_callable(root, depth, lambda x: np.log(np.abs(x - x0[0])))
+    return GridFunction.from_callable(
+        root, depth,
+        lambda x, y: 0.5 * np.log((x - x0[0]) ** 2 + (y - x0[1]) ** 2),
+    )
+
+
+# kind -> builder from (spec, root, depth); the builders reach power_weight
+# and step_weight through this module's globals, where tracing may rebind them
+WEIGHT_KINDS = {
+    "constant": lambda spec, root, depth: Weight(GridFunction.constant(root, depth, spec.low)),
+    "power": lambda spec, root, depth: power_weight(root, depth, spec.gamma, spec.x0),
+    "step": lambda spec, root, depth: step_weight(root, depth, spec.low, spec.high),
+}
+# kind -> builder from (spec, root, depth, sigma); sigma_probe, the extremal
+# direction, is the dual density sigma cut to the box
+FUNCTION_KINDS = {
+    "constant": lambda spec, root, depth, sigma: GridFunction.constant(root, depth, spec.value),
+    "indicator": lambda spec, root, depth, sigma:
+        GridFunction.indicator(root, depth, *spec.box) * spec.value,
+    "sigma_probe": lambda spec, root, depth, sigma:
+        GridFunction.indicator(root, depth, *spec.box) * sigma,
+}
+# kind -> builder from (spec, root, depth); the step is 1 on the upper half of the first axis
+BUMP_KINDS = {
+    "constant": lambda spec, root, depth: GridFunction.constant(root, depth, spec.value),
+    "step": lambda spec, root, depth: GridFunction.indicator(
+        root, depth, (root.origin[0] + 0.5 * root.side,) + root.origin[1:], root.hi),
+    "logdist": _logdist_bump,
+}
+# the Young functions a case's phi and the CLI's op.phi name
+YOUNG_FUNCTIONS = {"power1": POWER1, "llog": LLOG}
+
+
 def materialize_weight(spec: WeightSpec, root: RootBox, depth: int) -> Weight:
-    def build():
-        if spec.kind == "constant":
-            return Weight(GridFunction.constant(root, depth, spec.low))
-        if spec.kind == "power":
-            return power_weight(root, depth, spec.gamma, spec.x0)
-        if spec.kind == "step":
-            return step_weight(root, depth, spec.low, spec.high)
-        raise ValueError(f"unknown weight kind {spec.kind!r}")
-    return _kept(_WEIGHT_CACHE, "weight", (spec, root, depth), build)
+    return _kept(_WEIGHT_CACHE, "weight", (spec, root, depth),
+                 lambda: WEIGHT_KINDS[spec.kind](spec, root, depth))
 
 
 def materialize_function(
     spec: FunctionSpec, root: RootBox, depth: int, sigma: GridFunction | None = None
 ) -> GridFunction:
-    if spec.kind == "constant":
-        return GridFunction.constant(root, depth, spec.value)
-    if spec.kind == "indicator":
-        lo, hi = spec.box
-        return GridFunction.indicator(root, depth, lo, hi) * spec.value
-    if spec.kind == "sigma_probe":
-        # the extremal-direction probe: the dual density cut to a sub-box
-        if sigma is None:
-            raise ValueError("sigma_probe needs the dual density")
-        lo, hi = spec.box
-        return GridFunction.indicator(root, depth, lo, hi) * sigma
-    raise ValueError(f"unknown function kind {spec.kind!r}")
+    return FUNCTION_KINDS[spec.kind](spec, root, depth, sigma)
 
 
 def materialize_bump(spec: BumpSpec, root: RootBox, depth: int) -> GridFunction:
-    if spec.kind == "constant":
-        return GridFunction.constant(root, depth, spec.value)
-    if spec.kind == "step":
-        mid = tuple(o + 0.5 * root.side for o in root.origin)
-        return GridFunction.indicator(root, depth, mid[:1] + root.origin[1:], root.hi)
-    if spec.kind == "logdist":
-        x0 = named_center(root, spec.x0)
-        if root.n == 1:
-            return GridFunction.from_callable(
-                root, depth, lambda x: np.log(np.abs(x - x0[0]))
-            )
-        return GridFunction.from_callable(
-            root, depth,
-            lambda x, y: 0.5 * np.log((x - x0[0]) ** 2 + (y - x0[1]) ** 2),
-        )
-    raise ValueError(f"unknown bump kind {spec.kind!r}")
+    return BUMP_KINDS[spec.kind](spec, root, depth)
 
 
 def _case_weight(case: TestCase) -> Weight:
@@ -326,14 +317,11 @@ def _case_function(case: TestCase) -> GridFunction:
         case.func, case.root, case.depth, _case_sigma(case) if probe else None))
 
 
-def _case_bump(case: TestCase) -> GridFunction:
+def _case_bump(case: TestCase) -> tuple[str, GridFunction]:
+    """The label and mesh function of the case's bump, the step when it has none."""
     spec = case.bump or BumpSpec("step")
-    return _shared("bump", (), (spec, case.root, case.depth),
-                   lambda: materialize_bump(spec, case.root, case.depth))
-
-
-def _phi_of(case: TestCase) -> YoungFunction:
-    return {"power1": POWER1, "llog": LLOG}[case.phi]
+    return spec.label(), _shared("bump", (), (spec, case.root, case.depth),
+                                 lambda: materialize_bump(spec, case.root, case.depth))
 
 
 # -- run scope: everything a run builds, once per run --------------------------
@@ -525,8 +513,6 @@ def _settle_degenerate(report: VerificationReport, b: GridFunction) -> Verificat
 def verify_weak_1q(case: TestCase) -> list[VerificationReport]:
     """Endpoint weak-type bound for the dyadic fractional integral at p = 1."""
     e = case.e
-    if e.p != 1:
-        raise ValueError("the weak-type inequality is an endpoint: p must be 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
@@ -542,8 +528,6 @@ def verify_weak_1q(case: TestCase) -> list[VerificationReport]:
 def verify_strong_pq(case: TestCase) -> list[VerificationReport]:
     """Strong (p, q) bound, reported for the dyadic and the sparse operator."""
     e = case.e
-    if e.p <= 1:
-        raise ValueError("strong-type verification needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
@@ -563,14 +547,10 @@ def verify_strong_pq(case: TestCase) -> list[VerificationReport]:
 def verify_commutator_strong(case: TestCase) -> list[VerificationReport]:
     """Strong (p, q) bound for the positive dyadic commutator."""
     e = case.e
-    if e.p <= 1:
-        raise ValueError("the commutator bound needs p > 1")
-    if case.bump is None:
-        raise ValueError("a commutator case needs a bump spec")
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
-    b = _case_bump(case)
+    label, b = _case_bump(case)
 
     def commutator():  # b's sorts are shared by every f
         plan = _shared("commutator_plan", (b,), (ws.family,),
@@ -582,19 +562,17 @@ def verify_commutator_strong(case: TestCase) -> list[VerificationReport]:
     bmo = _bmo(b, ws)
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.commutator_power * bmo * input_norm
-    report = _base_report(case, char, lhs, rhs, bump=case.bump.label(), bmo=bmo)
+    report = _base_report(case, char, lhs, rhs, bump=label, bmo=bmo)
     return [_settle_degenerate(report, b)]
 
 
 def verify_maximal_weak_and_strong(case: TestCase) -> list[VerificationReport]:
     """Weighted Orlicz maximal operator: L^p(sigma) to L^q(sigma) bounds."""
     e = case.e
-    if e.p <= 1:
-        raise ValueError("the maximal-operator lemma needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
     sigma = _case_density(case)
     f = _case_function(case)
-    phi = _phi_of(case)
+    phi = YOUNG_FUNCTIONS[case.phi]
     out = weighted_orlicz_fractional_maximal(
         f, sigma, e.alpha, phi, ws.family, 0, rows=_level_rows(f, sigma, phi, ws)
     )
@@ -610,11 +588,9 @@ def verify_maximal_weak_and_strong(case: TestCase) -> list[VerificationReport]:
 def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     """Oscillation bound: ||b - <b>_Q|| in the exponential norm vs BMO."""
     e = case.e
-    if e.p <= 1:
-        raise ValueError("the dual density needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
     sigma = _case_density(case)
-    b = _case_bump(case)
+    label, b = _case_bump(case)
     ainf = _shared("ap_characteristic", (sigma,), (e.r_prime, ws.battery),
                    lambda: ap_characteristic(sigma, e.r_prime, ws.battery))
     bmo = _bmo(b, ws)
@@ -628,10 +604,7 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
         return luxemburg_norm_max(parts, EXPM1)
     lhs = _shared("oscillation_gauge", (b, sigma), (ws.battery,), oscillation_gauge)
     rhs = ainf * bmo
-    report = _base_report(
-        case, ainf, lhs, rhs,
-        bump=(case.bump or BumpSpec("step")).label(), bmo=bmo,
-    )
+    report = _base_report(case, ainf, lhs, rhs, bump=label, bmo=bmo)
     return [_settle_degenerate(report, b)]
 
 
@@ -645,7 +618,7 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
     ws = workspace(case.root, case.depth, case.battery_depth)
     sigma = _case_density(case)
     f = _case_function(case)
-    phi = _phi_of(case)
+    phi = YOUNG_FUNCTIONS[case.phi]
     root_cube = DyadicCube(0, 0, (0,) * case.root.n)
     top = top or root_cube
     if not ws.family.is_aligned(top.grid_id):
@@ -679,8 +652,6 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     masses are sums over segments of the certificate's owner labels.
     """
     e = case.e
-    if e.p <= 1:
-        raise ValueError("the duality estimate needs p > 1")
     ws = workspace(case.root, case.depth, case.battery_depth)
     w = _case_weight(case)
     f = _case_function(case)
@@ -757,19 +728,35 @@ def large_small_partition(case: TestCase, t: float) -> PartitionDiagnostic:
     )
 
 
-_VERIFIERS = {
-    "weak_1q": verify_weak_1q,
-    "strong_pq": verify_strong_pq,
-    "commutator_strong": verify_commutator_strong,
-    "maximal_pq": verify_maximal_weak_and_strong,
-    "weighted_bmo": verify_wtd_bmo,
-    "cube_summation": verify_summation_lemma,
-    "duality_cubes": verify_duality_cube_estimate,
+class Theorem(NamedTuple):
+    """One inequality: how to verify a case, the p it holds for, the power of
+    its characteristic in the right side, and the shape of its battery."""
+
+    verifier: Callable[[TestCase], list[VerificationReport]]
+    p: str = "> 1"  # "= 1" (an endpoint inequality), "> 1" or "any"
+    power: Callable[[ExponentTriple], float] | None = None
+    bumps: bool = False  # the battery crosses its cases with the bump battery
+    uses_f: bool = True  # when False the battery keeps only the first function
+
+
+THEOREM_TABLE = {
+    "weak_1q": Theorem(verify_weak_1q, "= 1", lambda e: e.weak_power),
+    "strong_pq": Theorem(verify_strong_pq, power=lambda e: e.strong_power),
+    "commutator_strong": Theorem(verify_commutator_strong, power=lambda e: e.commutator_power,
+                                 bumps=True),
+    "maximal_pq": Theorem(verify_maximal_weak_and_strong),
+    "weighted_bmo": Theorem(verify_wtd_bmo, bumps=True, uses_f=False),
+    "cube_summation": Theorem(verify_summation_lemma, "any"),
+    "duality_cubes": Theorem(verify_duality_cube_estimate),
 }
 
 
 def verify_case(case: TestCase) -> list[VerificationReport]:
-    return _VERIFIERS[case.theorem](case)
+    """Run the case's verifier once its p lies in the theorem's p-domain."""
+    theorem, p = THEOREM_TABLE[case.theorem], case.e.p
+    if not {"= 1": p == 1, "> 1": p > 1, "any": True}[theorem.p]:
+        raise ValueError(f"theorem {case.theorem} needs p {theorem.p}")
+    return theorem.verifier(case)
 
 
 # -- batteries -------------------------------------------------------------------
@@ -814,17 +801,15 @@ def build_battery(
     power-weight sweep, crossed with the function battery (and the bump
     battery for commutator-type checks).  Weight and log bump are singular
     at the root box's third point."""
-    if theorem not in THEOREMS:
+    if theorem not in THEOREM_TABLE:
         raise ValueError(f"unknown theorem {theorem!r}")
-    with_probe = e.p > 1
-    funcs = standard_function_specs(root, with_probe=with_probe)
+    shape = THEOREM_TABLE[theorem]
+    funcs = standard_function_specs(root, with_probe=e.p > 1)
+    if not shape.uses_f:
+        funcs = funcs[:1]
     weights = [WeightSpec("constant")]
     weights += [WeightSpec("power", g, "third") for g in sweep_gammas(e, gammas)]
-    bumps = [None]
-    if theorem in ("commutator_strong", "weighted_bmo"):
-        bumps = [BumpSpec("step"), BumpSpec("logdist", "third")]
-    if theorem == "weighted_bmo":
-        funcs = funcs[:1]  # the oscillation check does not involve f
+    bumps = [BumpSpec("step"), BumpSpec("logdist", "third")] if shape.bumps else [None]
     cases = []
     for wi, wspec in enumerate(weights):
         for fi, fspec in enumerate(funcs):
@@ -903,12 +888,14 @@ def sweep_slope(result: BatteryResult) -> tuple[float, list[tuple[float, float]]
     left side over the function battery; the slope says how fast the
     inequality's left side actually grows in the characteristic.
     """
+    power = THEOREM_TABLE[result.theorem].power
     buckets: dict[float, tuple[float, float]] = {}
     for r in result.reports:
         if r.gamma is None or r.rhs_sans_constant <= 0 or r.lhs <= 0:
             continue
         # lhs over the input norm alone; rhs_sans = char^power * input_norm
-        input_norm = r.rhs_sans_constant / r.characteristic ** _char_power(result.theorem, r)
+        exponent = power(ExponentTriple(r.n, r.alpha, r.p)) if power else 0.0
+        input_norm = r.rhs_sans_constant / r.characteristic ** exponent
         norm = r.lhs / input_norm
         prev = buckets.get(r.gamma)
         if prev is None or norm > prev[1]:
@@ -922,12 +909,6 @@ def sweep_slope(result: BatteryResult) -> tuple[float, list[tuple[float, float]]
         return 0.0, points
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, points
-
-
-def _char_power(theorem: str, report: VerificationReport) -> float:
-    e = ExponentTriple(report.n, report.alpha, report.p)
-    fn = CHARACTERISTIC_POWERS.get(theorem)
-    return fn(e) if fn else 0.0
 
 
 # -- report output ----------------------------------------------------------------

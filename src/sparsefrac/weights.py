@@ -37,6 +37,7 @@ __all__ = [
     "step_weight",
     "admissible_gamma_range",
     "named_center",
+    "CENTERS",
     "RH_CAP",
 ]
 
@@ -356,14 +357,16 @@ def ainfty_subset_bounds(
 # -- the weight test battery ---------------------------------------------------
 
 
+CENTERS = {"center": 0.5, "corner": 0.0, "third": 1.0 / 3.0}  # offset on every axis, in sides
+
+
 def named_center(root: RootBox, name) -> tuple[float, ...]:
-    """Resolve a singularity location: 'center', 'corner', 'third', or coords."""
+    """Resolve a singularity location: a name of CENTERS, or coords."""
     if isinstance(name, (tuple, list)):
         return tuple(float(v) for v in name)
-    offsets = {"center": 0.5, "corner": 0.0, "third": 1.0 / 3.0}
-    if name not in offsets:
+    if name not in CENTERS:
         raise ValueError(f"unknown center {name!r}")
-    return tuple(o + offsets[name] * root.side for o in root.origin)
+    return tuple(o + CENTERS[name] * root.side for o in root.origin)
 
 
 def admissible_gamma_range(e: ExponentTriple) -> tuple[float, float]:

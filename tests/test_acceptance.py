@@ -42,7 +42,7 @@ from sparsefrac.sparse import (
     verify_sparse_domination,
 )
 from sparsefrac.verify import (
-    CHARACTERISTIC_POWERS,
+    THEOREM_TABLE,
     FunctionSpec,
     TestCase,
     WeightSpec,
@@ -339,7 +339,7 @@ def test_criterion_07_theorem_batteries():
         ok &= drift <= 0.20
         details.append(f"{theorem} drift {drift * 100:.1f}%")
 
-    for theorem, power_fn in CHARACTERISTIC_POWERS.items():
+    for theorem, power_fn in ((t, row.power) for t, row in THEOREM_TABLE.items() if row.power):
         e = E_THEOREMS[theorem]
         slope, _ = sweep_slope(results[theorem])
         allowed = power_fn(e) + 0.3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 import sparsefrac
-from sparsefrac import config, operators, verify
+from sparsefrac import cli, config, operators, verify
 from sparsefrac.cli import main
 from sparsefrac.config import ConfigError, load_config
 from sparsefrac.grid import DyadicGridFamily, RootBox, read_gridfunction
@@ -204,7 +205,7 @@ class TestVerify:
             "exponents": {"alpha": 1.0 / 3.0, "p": 2.0},
             "weight": {"kind": "power", "gamma": -0.15, "x0": "third"},
             "commutator": {"b": "logdist", "x0": "third"},
-            "verify": {"theorems": list(verify.THEOREMS), "gammas": 2},
+            "verify": {"theorems": list(verify.THEOREM_TABLE), "gammas": 2},
         }, sort_keys=True))
         broken = tmp_path / "broken.yaml"
         broken.write_text("exponents:\n  alpha: [unclosed\n")
@@ -475,6 +476,26 @@ class TestFrontEndBranches:
         exits_2_naming(runner, command, path, f"missing required key '{command}.theorems'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("theorem", list(verify.THEOREM_TABLE))
+    def test_verify_at_p1_runs_only_the_endpoint(self, runner, tmp_path, theorem):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("p: 2.0", "p: 1.0").replace(
+            "theorems: [strong_pq, weak_1q]", f"theorems: [{theorem}]"))
+        if theorem == "weak_1q":
+            result = runner.invoke(main, ["verify", "--config", str(path)])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("weak_1q: ")
+        else:
+            exits_2_naming(runner, "verify", path, f"theorem {theorem} needs exponents.p > 1")
+
+    def test_sweep_at_p1_runs_only_the_endpoint(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("p: 2.0", "p: 1.0").replace(
+            "sweep:\n  theorems: [strong_pq]", "sweep:\n  theorems: [weak_1q, strong_pq]"))
+        result = exits_2_naming(runner, "sweep", path, "theorem strong_pq needs exponents.p > 1")
+        assert result.output.startswith("weak_1q: slope ")
+        assert (out / "sweep_weak_1q.csv").exists()
+
     def test_sweep_needs_a_characteristic(self, runner, tmp_path):
         path, out = write_config(tmp_path)
         path.write_text(path.read_text().replace(
@@ -501,6 +522,76 @@ class TestConfigErrors:
         result = runner.invoke(main, ["char", "--config", str(path)])
         assert result.exit_code == 2
         assert result.output == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        (command, key, value, message)
+        for key, value, message, commands in [
+            ("weight.kind", "bogus", "key weight.kind: 'bogus' is not one of constant, power, step",
+             ("char", "op", "sparse")),
+            ("weight.x0", "middle", "key weight.x0: 'middle' is not one of center, corner, third",
+             ("char", "op", "sparse")),
+            ("function.kind", "bogus", "key function.kind: 'bogus' is not one of "
+             "constant, indicator, sigma_probe", ("op", "sparse")),
+            ("commutator.b", "bogus", "key commutator.b: 'bogus' is not one of "
+             "constant, step, logdist", ("op",)),
+            ("commutator.x0", "middle", "key commutator.x0: 'middle' is not one of "
+             "center, corner, third", ("op",)),
+            ("op.phi", "bogus", "key op.phi: 'bogus' is not one of power1, llog", ("op",)),
+            ("verify.theorems", ["strong_pq", "bogus"], "key verify.theorems: 'bogus' is not one "
+             "of weak_1q, strong_pq, commutator_strong, maximal_pq, weighted_bmo, "
+             "cube_summation, duality_cubes", ("verify",)),
+            ("sweep.theorems", ["bogus"], "key sweep.theorems: 'bogus' is not one of weak_1q, "
+             "strong_pq, commutator_strong, maximal_pq, weighted_bmo, cube_summation, "
+             "duality_cubes", ("sweep",)),
+            ("run.format", "xml", "key run.format: 'xml' is not one of csv, json",
+             ("char", "verify")),
+            ("op.grid", 5, "key op.grid must be in [0, 2) in dimension 1", ("op", "sparse")),
+        ]
+        for command in commands
+    ])
+    def test_unknown_name(self, runner, tmp_path, command, key, value, message):
+        # every other key is valid, and op.name picks an operator that reads key
+        out = tmp_path / "out"
+        doc = {"run": {"depth": 5, "battery_depth": 3, "out": str(out)},
+               "exponents": {"alpha": 1.0 / 3.0, "p": 2.0},
+               "weight": {"kind": "power", "gamma": -0.1},
+               "function": {"kind": "indicator", "box": [[0.25], [0.75]]},
+               "op": {"name": {"commutator": "dyadic_commutator",
+                               "op": "weighted_orlicz_fractional_maximal"}.get(
+                                   key.split(".")[0], "dyadic_fractional_integral")},
+               "verify": {"theorems": ["strong_pq"], "gammas": 1},
+               "sweep": {"theorems": ["strong_pq"], "gammas": 1}}
+        section, name = key.split(".")
+        doc.setdefault(section, {})[name] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_list_x0_is_coordinates(self, tmp_path):
+        path = tmp_path / "x0.yaml"
+        path.write_text("weight:\n  x0: [0.3]\ncommutator:\n  x0: [0.6]\n")
+        cfg = load_config(path)
+        assert (cfg["weight"]["x0"], cfg["commutator"]["x0"]) == ([0.3], [0.6])
+
+    def test_readme_lists_the_tables_names(self):
+        # README's choice keys list each table's names, in table order
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Choice keys")[1].split("\n#")[0]
+        listed = {}
+        for line in section.splitlines():
+            if line.startswith("- `"):
+                head, _, tail = line.partition(": ")
+                for key in re.findall(r"`([^`]+)`", head):
+                    listed[key] = re.findall(r"`([^`]+)`", tail)
+        tables = {f"{section}.{key}": list(spec[2]) for section, keys in config._KEYS.items()
+                  for key, spec in keys.items() if len(spec) == 3}
+        assert listed == tables | {"op.name": list(cli._OPERATORS)}
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.yaml"

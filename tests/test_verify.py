@@ -44,6 +44,7 @@ from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_l
 
 E_THIRD = ExponentTriple(1, 1.0 / 3.0, 2.0)
 E_HALF_P1 = ExponentTriple(1, 0.5, 1.0)
+THEOREMS = list(verify.THEOREM_TABLE)
 
 
 @contextlib.contextmanager
@@ -429,6 +430,18 @@ class TestBatteriesAndReports:
         reps = verify_case(case_for("strong_pq", depth=6))
         assert {r.theorem for r in reps} == {"strong_pq"}
 
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_p_domain(self, theorem):
+        # weak_1q is the endpoint p = 1, cube_summation holds at every p,
+        # and the other five need p > 1; verify_case checks before it builds
+        if theorem == "cube_summation":
+            reps = verify_case(case_for(theorem, E_HALF_P1, depth=5, battery_depth=3))
+            assert [r.theorem for r in reps] == [theorem]
+            return
+        wrong = E_THIRD if theorem == "weak_1q" else E_HALF_P1
+        with pytest.raises(ValueError, match=f"theorem {theorem} needs p "):
+            verify_case(case_for(theorem, wrong, bump=BumpSpec("step")))
+
     def test_inadmissible_gamma_rejected(self):
         glo, ghi = (-1.0 / 6.0, 0.5)  # the admissible range at these exponents
         with pytest.raises(ValueError):
@@ -468,7 +481,7 @@ def _shared_arrays(result):
 
 
 class TestRunScope:
-    @pytest.mark.parametrize("theorem", verify.THEOREMS)
+    @pytest.mark.parametrize("theorem", THEOREMS)
     @pytest.mark.parametrize("n,depth,battery_depth", [(1, 8, 5), (2, 4, 3)])
     def test_battery_equals_direct_cases(self, theorem, n, depth, battery_depth, monkeypatch):
         # at (1/3, 2) two gammas include gamma = 0, the calibration weight again
@@ -520,17 +533,17 @@ class TestRunScope:
     def test_constant_fingerprint_still_correct(self, monkeypatch):
         e = E_THIRD
         with verify.run_scope() as honest:
-            want = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in verify.THEOREMS[1:]]
+            want = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in THEOREMS[1:]]
         monkeypatch.setattr(GridFunction, "fingerprint", property(lambda self: 0))
         with verify.run_scope() as colliding:
-            got = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in verify.THEOREMS[1:]]
+            got = [run_battery(t, e, depth=6, battery_depth=4, gammas=2) for t in THEOREMS[1:]]
         assert [r.reports for r in got] == [r.reports for r in want]
         assert colliding.computed == honest.computed
         assert colliding.reused == honest.reused
 
     def test_shared_arrays_read_only(self):
         with verify.run_scope() as scope:
-            for theorem in verify.THEOREMS[1:]:
+            for theorem in THEOREMS[1:]:
                 run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
             results = [result for bucket in scope.entries.values() for _, result in bucket]
             arrays = [a for result in results for a in _shared_arrays(result)]
@@ -597,6 +610,23 @@ class TestRunScope:
         assert metrics["verify.workspace.builds"] >= 1
         assert metrics["verify.materialize_weight.calls"] >= 1
         assert metrics["verify.materialize_weight.hit_ratio"] < 1
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_benchmark_tracer_reaches_what_the_tables_call(self, theorem):
+        # the tracer rebinds module globals, so the theorem and kind tables
+        # must reach power_weight, the characteristics, bmo_norm and the
+        # Luxemburg gauges through them at call time, not bind them early
+        with benchmark_tracer() as tracer:
+            run_battery(theorem, _battery_exponents(theorem, 1), depth=5, battery_depth=3,
+                        gammas=1)
+            metrics = tracer.layer_metrics()
+        assert metrics["weights.power_weight.self_s"] > 0
+        assert (metrics["weights.characteristic.calls"] > 0) == (
+            theorem not in ("maximal_pq", "cube_summation"))
+        assert (metrics["operators.bmo_norm.calls"] > 0) == (
+            theorem in ("commutator_strong", "weighted_bmo"))
+        assert (metrics["orlicz.luxemburg_norm_blocks.rows"] > 0) == (
+            theorem in ("maximal_pq", "cube_summation", "weighted_bmo"))
 
     def test_benchmark_tracer_wraps_cli_verify(self, tmp_path):
         # the benchmark runs cli.main(["verify", ...], standalone_mode=False)
