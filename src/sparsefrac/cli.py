@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import FORMATS, ConfigError, load_config, require
-from .grid import GridFunction, RootBox, write_gridfunction
+from .grid import DyadicGridFamily, GridFunction, RootBox, write_gridfunction
 from .operators import (
     commutator_1d,
     dyadic_commutator,
@@ -74,10 +74,11 @@ def _fail_config(message: str):
 
 class _Setup(NamedTuple):
     """What every command reads first: the config with the flag overrides
-    applied, the root box, the exponents and the two depths."""
+    applied, the root box, its grid family, the exponents and the two depths."""
 
     cfg: dict
     root: RootBox
+    family: DyadicGridFamily
     e: ExponentTriple
     depth: int
     battery_depth: int
@@ -99,14 +100,15 @@ def _setup(config_path, out_dir, seed, depth, fmt) -> _Setup:
     dom = cfg["domain"]
     if len(dom["origin"]) != dom["dimension"]:
         _fail_config("domain.origin length must match domain.dimension")
-    root = RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
-    try:
+    try:  # the library's own checks of the box, the depth and the exponents
+        root = RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
+        family = DyadicGridFamily(root, run["depth"])
         require(cfg, "exponents.alpha", "exponents.p")
         e = ExponentTriple(dom["dimension"], float(cfg["exponents"]["alpha"]),
                            float(cfg["exponents"]["p"]))
     except (ConfigError, ValueError) as exc:
         _fail_config(str(exc))
-    return _Setup(cfg, root, e, run["depth"], min(run["battery_depth"], run["depth"]))
+    return _Setup(cfg, root, family, e, run["depth"], min(run["battery_depth"], run["depth"]))
 
 
 def _command(fn):
@@ -233,9 +235,8 @@ def op(s: _Setup):
     one_d_only, apply = _OPERATORS[name]
     if one_d_only and s.root.n != 1:
         _fail_config(f"op.name {name} needs domain.dimension 1")
-    family = workspace(s.root, s.depth, s.battery_depth).family
     f, sigma = _function(s)
-    result = apply(s, f, sigma, family, s.cfg["op"]["grid"])
+    result = apply(s, f, sigma, s.family, s.cfg["op"]["grid"])
     _write_meta(s)
     path = s.out / f"op_{name}.bin"
     write_gridfunction(result.values, path)
@@ -245,10 +246,9 @@ def op(s: _Setup):
 @_command
 def sparse(s: _Setup):
     """Extract the sparse family for the configured function and certify it."""
-    ws = workspace(s.root, s.depth, s.battery_depth)
     f, _ = _function(s)
-    family = sparse_select_for_operator(f, ws.family, s.cfg["op"]["grid"])
-    cert = certify_sparse(family, ws.family, s.depth)
+    family = sparse_select_for_operator(f, s.family, s.cfg["op"]["grid"])
+    cert = certify_sparse(family, s.family, s.depth)
     _write_meta(s)
     path = s.out / "sparse_family.json"
     with open(path, "w") as fh:

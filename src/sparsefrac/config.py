@@ -7,6 +7,8 @@ YAML syntax errors surface with the parser's line/column mark.
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 from .verify import BUMP_KINDS, FUNCTION_KINDS, THEOREM_TABLE, WEIGHT_KINDS, YOUNG_FUNCTIONS
@@ -90,10 +92,27 @@ def load_config(path) -> dict:
             merged[section] = defaults | raw.get(section, {})
     if merged["run"]["jobs"] != 1:
         raise ConfigError("key run.jobs must be 1: cases run one at a time")
-    grids = 2 ** merged["domain"]["dimension"]
-    if not 0 <= merged["op"]["grid"] < grids:
-        raise ConfigError(f"key op.grid must be in [0, {grids}) in dimension "
-                          f"{merged['domain']['dimension']}")
+    n = merged["domain"]["dimension"]
+    if not 0 <= merged["op"]["grid"] < 2 ** n:
+        raise ConfigError(f"key op.grid must be in [0, {2 ** n}) in dimension {n}")
+    if merged["run"]["battery_depth"] < 0:
+        raise ConfigError(f"key run.battery_depth must be >= 0, "
+                          f"got {merged['run']['battery_depth']}")
+
+    def point(v):
+        return isinstance(v, list) and len(v) == n and all(isinstance(x, _NUMBER) for x in v)
+
+    for section in ("weight", "commutator"):
+        x0 = merged[section]["x0"]
+        if isinstance(x0, list) and not point(x0):
+            raise ConfigError(f"key {section}.x0 must be a point of dimension {n}, got {x0!r}")
+    box = merged["function"].get("box")
+    if box is not None and not (len(box) == 2 and all(map(point, box))):
+        raise ConfigError(f"key function.box must be two corners of dimension {n}, got {box!r}")
+    for key in ("low", "high"):  # the cell values of the constant and step weights
+        if not 0 < merged["weight"][key] < math.inf:
+            raise ConfigError(f"key weight.{key} must be positive and finite, "
+                              f"got {merged['weight'][key]!r}")
     return merged
 
 

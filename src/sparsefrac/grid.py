@@ -196,6 +196,11 @@ class DyadicGridFamily:
         origin = self.root.lo
         return origin + scale * num.astype(float), origin + scale * (num + 3).astype(float)
 
+    def cube_integrals(self, f: "GridFunction", grid_id: int, level: int, coords) -> np.ndarray:
+        """Integrals of f over the level cubes at coords (N, n), in one
+        box_integrals call on their corners."""
+        return f.box_integrals(*self.cube_corners(grid_id, level, coords))
+
     def relation(self, p: DyadicCube, q: DyadicCube) -> str:
         """Exact set relation of two same-grid cubes.
 

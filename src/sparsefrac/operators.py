@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, LevelBlocks, cubes_by_level
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, cubes_by_level
 from .orlicz import YoungFunction, luxemburg_norm_blocks
 from .weights import CubeBattery
 
@@ -60,15 +60,6 @@ def _size_factor(family: DyadicGridFamily, level: int, alpha: float) -> float:
     return family.side_at(level) ** alpha
 
 
-def _level_averages(
-    f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int, coords
-) -> np.ndarray:
-    """Averages of f over the level cubes at coords (N, n), in one
-    box_integrals call."""
-    lo, hi = family.cube_corners(grid_id, level, coords)
-    return f.box_integrals(lo, hi) / family.volume_at(level)
-
-
 def _level_cell_info(f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int):
     """Cube averages at one level, mapped onto cells by center membership.
 
@@ -98,14 +89,14 @@ def sparse_fractional_integral(
     f: GridFunction, alpha: float, family: DyadicGridFamily, cubes
 ) -> OperatorOutput:
     """Same sum restricted to an explicit cube collection (usually sparse),
-    one box_integrals call and one spread per (grid, level); cubes holding
+    one cube_integrals call and one spread per (grid, level); cubes holding
     no cell centre add nothing and are not visited."""
     out = np.zeros_like(f.cells)
     visits = 0
     for (g, k), coords in cubes_by_level(cubes).items():
         blocks = family.level_blocks(g, k, f.depth)
         rows, inside = blocks.locate(coords)
-        avg = _level_averages(f, family, g, k, coords[inside])
+        avg = family.cube_integrals(f, g, k, coords[inside]) / family.volume_at(k)
         per_row = np.zeros(math.prod(blocks.shape))
         np.add.at(per_row, rows, _size_factor(family, k, alpha) * avg)
         out += blocks.spread(per_row)
@@ -140,18 +131,22 @@ def fractional_maximal(
     return OperatorOutput(f.with_cells(out), "fractional_maximal", None, visits)
 
 
-def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
-                 gathers: list[tuple[LevelBlocks, tuple[slice, ...] | None]],
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """sigma(Q) and ||f||_{Phi,Q,sigma} for the cubes of each (blocks,
-    sel) level gather.
+def orlicz_level_rows(
+    f: GridFunction, sigma: GridFunction, phi: YoungFunction,
+    family: DyadicGridFamily, grid_id: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level k = 0..K of one grid, sigma(Q) and ||f||_{Phi,Q,sigma} over
+    every cube of the level gather: the rows the Orlicz maximal operator
+    spreads.  They do not depend on alpha.
 
-    Zero-mass cubes get norm 0; the rest of every gather share one
-    luxemburg_norm_blocks call, one block per gather."""
+    Zero-mass cubes get norm 0; the rest of every level share one
+    luxemburg_norm_blocks call, one block per level."""
+    f._same_mesh(sigma)
     sqs, parts = [], []
-    for blocks, sel in gathers:
-        vals, frac = blocks.rows(f.cells, sel)
-        mass = blocks.rows(sigma.cells, sel)[0] * frac * f.cell_volume
+    for k in range(f.depth + 1):
+        blocks = family.level_blocks(grid_id, k, f.depth)
+        vals, frac = blocks.rows(f.cells)
+        mass = blocks.rows(sigma.cells)[0] * frac * f.cell_volume
         sq = mass.sum(axis=1)
         live = sq > 0
         sqs.append(sq)
@@ -163,18 +158,6 @@ def _orlicz_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction,
         norms[sq > 0] = got
         out.append((sq, norms))
     return out
-
-
-def orlicz_level_rows(
-    f: GridFunction, sigma: GridFunction, phi: YoungFunction,
-    family: DyadicGridFamily, grid_id: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level k = 0..K of one grid, sigma(Q) and ||f||_{Phi,Q,sigma} over
-    every cube of the level gather: the rows the Orlicz maximal operator
-    spreads.  They do not depend on alpha."""
-    f._same_mesh(sigma)
-    return _orlicz_rows(f, sigma, phi, [(family.level_blocks(grid_id, k, f.depth), None)
-                                        for k in range(f.depth + 1)])
 
 
 def weighted_orlicz_fractional_maximal(

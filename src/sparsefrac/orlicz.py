@@ -342,13 +342,12 @@ def luxemburg_norm_max(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     return float(luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0))
 
 
-def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction,
-                 phi: YoungFunction, tol: float = 1e-8) -> float:
+def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction, phi: YoungFunction) -> float:
     """inf over lam of lam * avg(1 + Phi(|f|/lam)) d(sigma) on the box.
 
     The objective is the perspective of a convex function, hence unimodal
     in lam; golden-section on log(lam) over a bracket derived from the
-    Luxemburg norm (the infimum lies in [lux, 2 lux]).
+    Luxemburg norm (the infimum lies in [lux, 2 lux]), down to width 1e-8.
     """
     values, masses = box_samples(f, lo, hi, sigma)
     a = np.abs(values)
@@ -374,7 +373,7 @@ def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction,
     x1 = hi_l - invphi * (hi_l - lo_l)
     x2 = lo_l + invphi * (hi_l - lo_l)
     f1, f2 = objective(x1), objective(x2)
-    while hi_l - lo_l > tol:
+    while hi_l - lo_l > 1e-8:
         if f1 <= f2:
             hi_l, x2, f2 = x2, x1, f1
             x1 = hi_l - invphi * (hi_l - lo_l)

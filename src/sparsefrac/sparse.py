@@ -1,7 +1,7 @@
 """Sparse family extraction, certification, and domination checks.
 
 Two stopping-time constructions are provided, both as level sweeps: one
-GridFunction.box_integrals call averages all the cubes a level needs, and
+DyadicGridFamily.cube_integrals call averages all the cubes a level needs, and
 the stopping rule runs over those arrays top-down, parents before
 children.  The geometric-threshold levels S_k collect, for each k, the
 maximal grid cubes whose average crosses a^k; level-0 cubes have no
@@ -28,7 +28,6 @@ import numpy as np
 
 from .grid import DyadicCube, DyadicGridFamily, GridFunction, cubes_by_level, range_coords
 from .operators import (
-    _level_averages,
     commutator_1d,
     dyadic_commutator,
     dyadic_fractional_integral,
@@ -117,43 +116,31 @@ class DominationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _check_ratio(family: DyadicGridFamily, a: float | None) -> float:
-    n = family.n
-    if a is None:
-        a = float(2 ** (n + 1))
-    if not a > 2 ** n:
-        raise ValueError(f"threshold ratio must exceed 2^n = {2 ** n}")
-    return a
-
-
 def cz_stopping_cubes(
-    g: GridFunction,
-    family: DyadicGridFamily,
-    grid_id: int,
-    a: float | None = None,
+    g: GridFunction, family: DyadicGridFamily, grid_id: int
 ) -> dict[int, list[DyadicCube]]:
-    """Stopping levels S_k: maximal grid cubes with average above a^k.
+    """Stopping levels S_k: maximal grid cubes with average above a^k, a = 2^(n+1).
 
     Maximality is within the materialized levels 0..K, so a level-0 cube
     is selected whenever its own average qualifies.  Every selected cube
     with a parent satisfies the bracket a^k < avg <= 2^n a^k; level-0
     cubes only satisfy the lower half.  Thresholds run over the integer k
     with a^k inside the range of positive cube averages, taken over every
-    cube of the ambient coordinate range (one box_integrals call per
+    cube of the ambient coordinate range (one cube_integrals call per
     level).  The descent only enters cubes of positive average, so the
     cubes it can reach form a tree, built once: each level's children of
     the previous level's tree cubes, kept where positive (children outside
     the ambient range read 0).  Each threshold is then one top-down pass
     over that tree: a cube is selected when it is above the threshold and
-    no ancestor is.  Requires a > 2^n; returns {} for g identically zero.
+    no ancestor is.  Returns {} for g identically zero.
     """
-    a = _check_ratio(family, a)
+    a = 2.0 ** (family.n + 1)
     if g.min_cell() < 0:
         raise ValueError("stopping cubes need a non-negative function")
     ranges = [family.coord_range(grid_id, k) for k in range(g.depth + 1)]
     averages = [
-        _level_averages(g, family, grid_id, k, range_coords(r)).reshape(
-            [hi - lo + 1 for lo, hi in r])
+        family.cube_integrals(g, grid_id, k, range_coords(r)).reshape(
+            [hi - lo + 1 for lo, hi in r]) / family.volume_at(k)
         for k, r in enumerate(ranges)
     ]
     positive = np.concatenate([v[v > 0] for v in averages])
@@ -194,34 +181,31 @@ def cz_stopping_cubes(
 
 
 def sparse_select_for_operator(
-    f: GridFunction,
-    family: DyadicGridFamily,
-    grid_id: int,
-    a: float | None = None,
+    f: GridFunction, family: DyadicGridFamily, grid_id: int
 ) -> SparseFamily:
     """Principal cubes of f: the sparse family dominating the dyadic integral.
 
     Seeded at the level-0 cubes carrying mass; below a selected cube the
     next generation is the maximal descendants whose average exceeds
-    a * (the cube's average).  Disjoint children then cover at most 1/a of
-    the parent, so the family is sparse by construction, and between
-    consecutive selections the operator's level sums are geometric.
+    a = 2^(n+1) times the cube's average.  Disjoint children then cover at
+    most 1/a of the parent, so the family is sparse by construction, and
+    between consecutive selections the operator's level sums are geometric.
 
     A frontier sweep: level 0 is every level-0 cube of the ambient range,
     level k + 1 the children of the level-k cubes of positive average.
-    One box_integrals call averages a level; every frontier cube carries
+    One cube_integrals call averages a level; every frontier cube carries
     base, the average of its nearest selected ancestor (0 at level 0), and
     is selected when avg > a * base.  These are exactly the cubes a
     depth-first descent averages and selects.
     """
-    a = _check_ratio(family, a)
+    a = 2.0 ** (family.n + 1)
     if f.min_cell() < 0:
         raise ValueError("sparse selection needs a non-negative function")
     selected: list[DyadicCube] = []
     coords = range_coords(family.coord_range(grid_id, 0))
     base = np.zeros(len(coords))
     for k in range(f.depth + 1):
-        avg = _level_averages(f, family, grid_id, k, coords)
+        avg = family.cube_integrals(f, grid_id, k, coords) / family.volume_at(k)
         chosen = avg > a * base
         selected += [DyadicCube(grid_id, k, tuple(m)) for m in coords[chosen].tolist()]
         live = avg > 0  # a chosen cube has avg > a * base >= 0

@@ -33,7 +33,6 @@ import numpy as np
 from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cubes_by_level
 from .operators import (
     bmo_norm,
-    _orlicz_rows,
     commutator_plan,
     dyadic_commutator,
     dyadic_fractional_integral,
@@ -211,10 +210,9 @@ class PartitionDiagnostic:
 
 # -- materialization -------------------------------------------------------------
 
-# The workspaces and weights of the open run scope, by key; emptied when the
-# outermost scope closes.  They are module dicts because perfbench's tracer
-# counts a build as the growth of one during a workspace or
-# materialize_weight call.
+# The run scope's stores of kinds workspace and weight (see run_scope).  They
+# are module dicts because perfbench's tracer counts a build as the growth of
+# one during a workspace or materialize_weight call.
 _WEIGHT_CACHE: dict = {}
 _WORKSPACE_CACHE: dict = {}
 
@@ -240,7 +238,7 @@ def workspace(root: RootBox, depth: int, battery_depth: int) -> Workspace:
     def build():
         family = DyadicGridFamily(root, depth)
         return Workspace(root, depth, battery_depth, family, CubeBattery(family, battery_depth))
-    return _kept(_WORKSPACE_CACHE, "workspace", (root, depth, battery_depth), build)
+    return _shared("workspace", (), (root, depth, battery_depth), build)
 
 
 def _logdist_bump(spec: BumpSpec, root: RootBox, depth: int) -> GridFunction:
@@ -281,8 +279,8 @@ YOUNG_FUNCTIONS = {"power1": POWER1, "llog": LLOG}
 
 
 def materialize_weight(spec: WeightSpec, root: RootBox, depth: int) -> Weight:
-    return _kept(_WEIGHT_CACHE, "weight", (spec, root, depth),
-                 lambda: WEIGHT_KINDS[spec.kind](spec, root, depth))
+    return _shared("weight", (), (spec, root, depth),
+                   lambda: WEIGHT_KINDS[spec.kind](spec, root, depth))
 
 
 def materialize_function(
@@ -330,20 +328,21 @@ def _case_bump(case: TestCase) -> tuple[str, GridFunction]:
 class RunScope:
     """What a run builds, shared while it is open (see run_scope).
 
-    An entry is keyed by its kind, its other arguments and the fingerprints
-    of its mesh-function inputs; the cases' functions and bumps have no
-    mesh inputs and are keyed by their specs.  A hit is confirmed by
-    comparing roots and cells with the stored inputs, so a fingerprint
-    collision costs a recomputation, never a wrong result.  Workspaces and
-    weights are held in _WORKSPACE_CACHE and _WEIGHT_CACHE (see _kept).
-    computed and reused count the results of each kind.
+    entries maps each kind to its store; a store keys its results by their
+    other arguments and the fingerprints of their mesh-function inputs.
+    Workspaces, weights, the cases' functions and bumps have no mesh inputs
+    and are keyed by their arguments alone.  A hit is confirmed by comparing
+    roots and cells with the stored inputs, so a fingerprint collision costs
+    a recomputation, never a wrong result.  computed and reused count the
+    results of each kind.
     """
 
     def __init__(self):
         self.entries, self.computed, self.reused = {}, Counter(), Counter()
 
     def fetch(self, kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute):
-        bucket = self.entries.setdefault((kind, params, *(g.fingerprint for g in inputs)), [])
+        store = self.entries.setdefault(kind, {})
+        bucket = store.setdefault((params, *(g.fingerprint for g in inputs)), [])
         for held, result in bucket:
             if all(root == g.root and np.array_equal(cells, g.cells)
                    for (root, cells), g in zip(held, inputs)):
@@ -370,12 +369,13 @@ def run_scope():
         yield _SCOPE
         return
     _SCOPE = scope = RunScope()
+    scope.entries.update(workspace=_WORKSPACE_CACHE, weight=_WEIGHT_CACHE)
     try:
         yield scope
     finally:
+        for store in scope.entries.values():
+            store.clear()
         scope.entries.clear()
-        _WORKSPACE_CACHE.clear()
-        _WEIGHT_CACHE.clear()
         _SCOPE = None
 
 
@@ -386,20 +386,6 @@ def _shared(kind: str, inputs: tuple[GridFunction, ...], params: tuple, compute)
     if _SCOPE is None:
         return compute()
     return _SCOPE.fetch(kind, inputs, params, compute)
-
-
-def _kept(store: dict, kind: str, key: tuple, build):
-    """build() once per key in the open run scope, held in store until the
-    scope closes, else on every call."""
-    if _SCOPE is None:
-        return build()
-    got = store.get(key)
-    if got is None:
-        got = store[key] = build()
-        _SCOPE.computed[kind] += 1
-    else:
-        _SCOPE.reused[kind] += 1
-    return got
 
 
 def _integral(f: GridFunction, alpha: float, ws: Workspace):
@@ -613,27 +599,23 @@ def verify_summation_lemma(case: TestCase, top: DyadicCube | None = None) -> lis
 
     ratio = sum over Q inside the top cube (levels down to K) of
     |Q|^(alpha/n) sigma(Q) ||f|| divided by the single top-cube term.
+    top defaults to the root cube; the terms are read from the Orlicz
+    maximal operator's level rows of grid 0.
     """
     e = case.e
     ws = workspace(case.root, case.depth, case.battery_depth)
     sigma = _case_density(case)
     f = _case_function(case)
     phi = YOUNG_FUNCTIONS[case.phi]
-    root_cube = DyadicCube(0, 0, (0,) * case.root.n)
-    top = top or root_cube
+    top = top or DyadicCube(0, 0, (0,) * case.root.n)
     if not ws.family.is_aligned(top.grid_id):
         raise ValueError("the summation check runs on the mesh-aligned grid")
-    if top == root_cube:  # every cube of grid 0: the maximal operator's rows
-        rows = _level_rows(f, sigma, phi, ws)
-    else:
-        gathers = []
-        for k in range(top.level, case.depth + 1):
-            blocks = ws.family.level_blocks(top.grid_id, k, case.depth)
-            r = 1 << (k - top.level)
-            gathers.append((blocks, blocks.select([(c * r, (c + 1) * r - 1) for c in top.coords])))
-        rows = _orlicz_rows(f, sigma, phi, gathers)
     total = 0.0
-    for k, (sq, norms) in enumerate(rows, top.level):
+    for k, (sq, norms) in enumerate(_level_rows(f, sigma, phi, ws)[top.level:], top.level):
+        # level k holds (2^k,)^n rows; top's subcubes are a block 2^(k - top.level) wide
+        r = 1 << (k - top.level)
+        shape, block = (1 << k,) * e.n, tuple([slice(c * r, (c + 1) * r) for c in top.coords])
+        sq, norms = sq.reshape(shape)[block].ravel(), norms.reshape(shape)[block].ravel()
         total += float(np.dot(sq, norms)) * ws.family.side_at(k) ** e.alpha
         if k == top.level:  # the one row of the top cube
             rhs = ws.family.side_at(k) ** e.alpha * float(sq[0]) * float(norms[0])
@@ -667,9 +649,8 @@ def verify_duality_cube_estimate(case: TestCase) -> list[VerificationReport]:
     cellvol = f.cell_volume
     sigma_q, v_q = [], []
     for (g, k), coords in cubes_by_level(sparse.cubes).items():
-        lo, hi = ws.family.cube_corners(g, k, coords)
-        sigma_q += sigma.box_integrals(lo, hi).tolist()
-        v_q += v.box_integrals(lo, hi).tolist()
+        sigma_q += ws.family.cube_integrals(sigma, g, k, coords).tolist()
+        v_q += ws.family.cube_integrals(v, g, k, coords).tolist()
     sigma_e, v_e = cert.carriers.sums(sigma.cells), cert.carriers.sums(v.cells)
     for cube, sq, vq, se, ve in zip(sparse.cubes, sigma_q, v_q, sigma_e, v_e):
         vol = ws.family.volume_at(cube.level)

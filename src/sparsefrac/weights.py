@@ -264,18 +264,13 @@ def ainfty_characteristic(sigma: GridFunction, context_p: float, battery: CubeBa
     return ap_characteristic(sigma, context_p, battery)
 
 
-def reverse_holder_exponent(
-    sigma: GridFunction,
-    battery: CubeBattery,
-    cap: float = RH_CAP,
-    tol: float = 1e-6,
-) -> float:
-    """Largest s in [1, cap] with (avg sigma^s)^(1/s) <= 2 avg sigma on the battery.
+def reverse_holder_exponent(sigma: GridFunction, battery: CubeBattery) -> float:
+    """Largest s in [1, RH_CAP] with (avg sigma^s)^(1/s) <= 2 avg sigma on the battery.
 
-    Found by bisection; returns cap when the inequality still holds there,
-    and 1.0 when it already fails just above 1.  Raises ValueError when an
-    average of sigma^s comes out negative or non-finite, as the box
-    integrals of a large power can when they lose all precision.
+    Found by bisection to within 1e-6; returns RH_CAP when the inequality
+    still holds there, and 1.0 when it already fails just above 1.  Raises
+    ValueError when an average of sigma^s comes out negative or non-finite,
+    as the box integrals of a large power can when they lose all precision.
     """
 
     def holds(s: float) -> bool:
@@ -289,10 +284,10 @@ def reverse_holder_exponent(
 
     if not holds(1.0 + 1e-9):
         return 1.0
-    if holds(cap):
-        return cap
-    lo_s, hi_s = 1.0 + 1e-9, cap
-    while hi_s - lo_s > tol:
+    if holds(RH_CAP):
+        return RH_CAP
+    lo_s, hi_s = 1.0 + 1e-9, RH_CAP
+    while hi_s - lo_s > 1e-6:
         mid = 0.5 * (lo_s + hi_s)
         if holds(mid):
             lo_s = mid

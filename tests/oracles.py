@@ -25,7 +25,13 @@ from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
 from sparsefrac.operators import OperatorOutput
 from sparsefrac.orlicz import EXPM1, YoungFunction
 from sparsefrac.sparse import SparseCertificate, SparseFamily, sparse_select_for_operator
-from sparsefrac.verify import _case_function, _case_weight, workspace
+from sparsefrac.verify import (
+    YOUNG_FUNCTIONS,
+    _case_density,
+    _case_function,
+    _case_weight,
+    workspace,
+)
 from sparsefrac.weights import apq_characteristic
 
 
@@ -793,3 +799,24 @@ def naive_duality_ratios(case) -> dict:
     return {"violations": violations, "worst_first_ratio": worst1,
             "worst_second_ratio": worst2, "measured_constant": max(worst1, worst2),
             "family_size": len(sparse)}
+
+
+def naive_summation_sides(case, top: DyadicCube) -> tuple[float, float]:
+    """verify_summation_lemma's lhs and rhs cube by cube: each subcube's
+    cells by cells_in_cube, sigma(Q) as an fsum of its cells and the
+    gauge by naive_luxemburg."""
+    family = DyadicGridFamily(case.root, case.depth)
+    sigma, f = _case_density(case), _case_function(case)
+    lhs = rhs = 0.0
+    for k in range(top.level, case.depth + 1):
+        r = 1 << (k - top.level)
+        for m in itertools.product(*(range(c * r, (c + 1) * r) for c in top.coords)):
+            sl = _cube_slices(cells_in_cube(family, DyadicCube(top.grid_id, k, m), case.depth))
+            sq = math.fsum(sigma.cells[sl].ravel()) * sigma.cell_volume
+            norm = naive_luxemburg(f.cells[sl].ravel(), sigma.cells[sl].ravel(),
+                                   YOUNG_FUNCTIONS[case.phi]) if sq > 0 else 0.0
+            term = family.side_at(k) ** case.e.alpha * sq * norm
+            lhs += term
+            if k == top.level:  # the top cube itself
+                rhs = term
+    return lhs, rhs

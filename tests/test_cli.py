@@ -55,6 +55,9 @@ op:
 """
 
 
+COMMANDS = ("char", "op", "sparse", "verify", "sweep")
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -571,6 +574,49 @@ class TestConfigErrors:
         result = runner.invoke(main, [command, "--config", str(path)])
         assert result.exit_code == 2
         assert result.output == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, changes, message", [
+        (command, changes, message)
+        for changes, message, commands in [
+            ({"run.depth": 0}, "max_level must be in [1, 12] for n=1", COMMANDS),
+            ({"run.depth": 20}, "max_level must be in [1, 12] for n=1", COMMANDS),
+            ({"run.battery_depth": -1}, "key run.battery_depth must be >= 0, got -1", COMMANDS),
+            ({"domain.side": 0}, "root box side must be positive", COMMANDS),
+            ({"domain.dimension": 3, "domain.origin": [0.0, 0.0, 0.0]},
+             "dimension must be 1 or 2, got 3", COMMANDS),
+            ({"domain.dimension": 2, "domain.origin": [0.0, 0.0], "weight.x0": [0.5]},
+             "key weight.x0 must be a point of dimension 2, got [0.5]", ("char", "op", "sparse")),
+            ({"weight.x0": ["a"]}, "key weight.x0 must be a point of dimension 1, got ['a']",
+             ("char", "op", "sparse")),
+            ({"function.kind": "indicator", "function.box": [[0.1]]},
+             "key function.box must be two corners of dimension 1, got [[0.1]]", ("op", "sparse")),
+            ({"weight.kind": "step", "weight.low": -1},
+             "key weight.low must be positive and finite, got -1", ("char", "op", "sparse")),
+            ({"weight.kind": "step", "weight.high": 0},
+             "key weight.high must be positive and finite, got 0", ("char", "op", "sparse")),
+            ({"op.name": "commutator", "commutator.b": "logdist",
+              "commutator.x0": [0.1, 0.2, 0.3]},
+             "key commutator.x0 must be a point of dimension 1, got [0.1, 0.2, 0.3]", ("op",)),
+        ]
+        for command in commands
+    ])
+    def test_out_of_domain(self, runner, tmp_path, command, changes, message):
+        # values the library rejects: exit 2 before any output, not a traceback and exit 1
+        out = tmp_path / "out"
+        doc = {"run": {"depth": 5, "battery_depth": 3, "out": str(out)},
+               "exponents": {"alpha": 1.0 / 3.0, "p": 2.0},
+               "weight": {"kind": "power", "gamma": -0.1},
+               "op": {"name": "dyadic_fractional_integral"},
+               "verify": {"theorems": ["strong_pq"], "gammas": 1},
+               "sweep": {"theorems": ["strong_pq"], "gammas": 1}}
+        for key, value in changes.items():
+            section, name = key.split(".")
+            doc.setdefault(section, {})[name] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert (result.exit_code, result.output) == (2, f"config error: {message}\n")
         assert not out.exists()
 
     def test_list_x0_is_coordinates(self, tmp_path):

@@ -101,12 +101,6 @@ class TestStoppingLevels:
             union = SparseFamily(0, [c for v in levels.values() for c in v])
             assert certify_sparse(union, fam, 6).ok
 
-    def test_small_ratio_rejected(self, root1):
-        fam = DyadicGridFamily(root1, 6)
-        g = GridFunction.constant(root1, 6, 1.0)
-        with pytest.raises(ValueError):
-            cz_stopping_cubes(g, fam, 0, a=2.0)
-
 
 class TestSparseSelection:
     def test_unit_function_gives_root(self, root1):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import json
 import math
@@ -40,7 +41,13 @@ from sparsefrac.verify import (
     write_sweep_csv,
 )
 
-from .oracles import naive_duality_ratios, naive_weak_quasinorm, naive_wtd_bmo_lhs, per_block_gauge
+from .oracles import (
+    naive_duality_ratios,
+    naive_summation_sides,
+    naive_weak_quasinorm,
+    naive_wtd_bmo_lhs,
+    per_block_gauge,
+)
 
 E_THIRD = ExponentTriple(1, 1.0 / 3.0, 2.0)
 E_HALF_P1 = ExponentTriple(1, 0.5, 1.0)
@@ -256,6 +263,26 @@ class TestSummationLemma:
         rep = verify_summation_lemma(case, top=top)[0]
         expect = sum(2.0 ** (-k / 3.0) for k in range(5))  # levels 2..6
         assert rep.measured_constant == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("top", [DyadicCube(0, 1, (1,)), DyadicCube(0, 2, (2,)),
+                                     DyadicCube(0, 3, (5,)), DyadicCube(0, 1, (1, 0)),
+                                     DyadicCube(0, 2, (1, 2)), DyadicCube(0, 3, (6, 3))])
+    def test_top_cube_with_a_gauge(self, top):
+        # a top cube's subcubes are a block of each level's rows, gauged with llog
+        n = len(top.coords)
+        root = verify.DEFAULT_ROOT_1D if n == 1 else verify.DEFAULT_ROOT_2D
+        case = dataclasses.replace(
+            case_for("cube_summation", e=_battery_exponents("cube_summation", n),
+                     weight=WeightSpec("power", 0.3, "third"),
+                     func=FunctionSpec("sigma_probe", ((0.0,) * n, (0.8,) * n)),
+                     phi="llog", depth=6, battery_depth=4),
+            root=root)
+        rep = verify_summation_lemma(case, top=top)[0]
+        lhs, rhs = naive_summation_sides(case, top)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+        assert rep.rhs_sans_constant == pytest.approx(rhs, rel=1e-12)
+        assert verify_summation_lemma(case, top=DyadicCube(0, 0, (0,) * n)) == \
+            verify_summation_lemma(case)
 
 
 class TestBatchedGauge:
@@ -545,9 +572,10 @@ class TestRunScope:
         with verify.run_scope() as scope:
             for theorem in THEOREMS[1:]:
                 run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
-            results = [result for bucket in scope.entries.values() for _, result in bucket]
+            results = [result for store in scope.entries.values()
+                       for bucket in store.values() for _, result in bucket]
             arrays = [a for result in results for a in _shared_arrays(result)]
-            kinds = {key[0] for key in scope.entries}
+            kinds = set(scope.entries)
         assert {type(r).__name__ for r in results} >= {"OperatorOutput", "SparseCertificate", "list"}
         assert {"orlicz_level_rows", "commutator_plan"} <= kinds
         assert arrays and not any(a.flags.writeable for a in arrays)
@@ -610,6 +638,18 @@ class TestRunScope:
         assert metrics["verify.workspace.builds"] >= 1
         assert metrics["verify.materialize_weight.calls"] >= 1
         assert metrics["verify.materialize_weight.hit_ratio"] < 1
+
+    def test_benchmark_tracer_counts_what_the_scope_computes(self):
+        # the scope's workspace and weight stores are the dicts the tracer watches
+        with benchmark_tracer() as tracer:
+            with verify.run_scope() as scope:
+                for theorem in ("strong_pq", "weighted_bmo"):
+                    run_battery(theorem, E_THIRD, depth=6, battery_depth=4, gammas=2)
+            metrics = tracer.layer_metrics()
+        built, calls = scope.computed["weight"], scope.computed["weight"] + scope.reused["weight"]
+        assert metrics["verify.workspace.builds"] == scope.computed["workspace"]
+        assert metrics["verify.materialize_weight.calls"] == calls
+        assert metrics["verify.materialize_weight.hit_ratio"] == 1.0 - built / calls
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_benchmark_tracer_reaches_what_the_tables_call(self, theorem):
