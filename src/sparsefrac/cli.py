@@ -127,7 +127,10 @@ def _weight(s: _Setup) -> Weight:
     if isinstance(x0, list):
         x0 = tuple(float(v) for v in x0)
     spec = WeightSpec(wc["kind"], float(wc["gamma"]), x0, float(wc["low"]), float(wc["high"]))
-    return materialize_weight(spec, s.root, s.depth)
+    try:  # the library's own checks of the weight, such as its integrability
+        return materialize_weight(spec, s.root, s.depth)
+    except ValueError as exc:
+        _fail_config(str(exc))
 
 
 def _function(s: _Setup) -> tuple[GridFunction, GridFunction]:

@@ -100,7 +100,8 @@ def load_config(path) -> dict:
                           f"got {merged['run']['battery_depth']}")
 
     def point(v):
-        return isinstance(v, list) and len(v) == n and all(isinstance(x, _NUMBER) for x in v)
+        return isinstance(v, list) and len(v) == n and all(
+            isinstance(x, _NUMBER) and math.isfinite(x) for x in v)
 
     for section in ("weight", "commutator"):
         x0 = merged[section]["x0"]
@@ -109,10 +110,13 @@ def load_config(path) -> dict:
     box = merged["function"].get("box")
     if box is not None and not (len(box) == 2 and all(map(point, box))):
         raise ConfigError(f"key function.box must be two corners of dimension {n}, got {box!r}")
-    for key in ("low", "high"):  # the cell values of the constant and step weights
-        if not 0 < merged["weight"][key] < math.inf:
-            raise ConfigError(f"key weight.{key} must be positive and finite, "
-                              f"got {merged['weight'][key]!r}")
+    # the cell values of the constant and step weights, and the verdict threshold's scale
+    for section, key in (("weight", "low"), ("weight", "high"), ("verify", "threshold_factor")):
+        if not 0 < merged[section][key] < math.inf:
+            raise ConfigError(f"key {section}.{key} must be positive and finite, "
+                              f"got {merged[section][key]!r}")
+    if not math.isfinite(merged["function"]["value"]):
+        raise ConfigError(f"key function.value must be finite, got {merged['function']['value']!r}")
     return merged
 
 

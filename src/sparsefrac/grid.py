@@ -28,6 +28,7 @@ __all__ = [
     "DyadicGridFamily",
     "GridFunction",
     "LevelBlocks",
+    "cell_centers",
     "cubes_by_level",
     "range_coords",
     "read_gridfunction",
@@ -45,6 +46,17 @@ def _cell_units(x, origin, h: float, m: int):
 def _overlap_fractions(u, v, j):
     """Overlap of [u, v) with the cells [j, j + 1), all in cell units."""
     return np.clip(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0, 1.0)
+
+
+def _outer(axes):
+    """Product over the mesh of one factor array per axis."""
+    return functools.reduce(np.multiply.outer, axes)
+
+
+def cell_centers(root: RootBox, depth: int) -> list[np.ndarray]:
+    """Per axis, the centres of the 2^depth mesh cells."""
+    m = 2 ** depth
+    return [root.origin[d] + (np.arange(m) + 0.5) * root.side / m for d in range(root.n)]
 
 
 def range_coords(ranges) -> np.ndarray:
@@ -76,6 +88,8 @@ class RootBox:
             raise ValueError(f"dimension must be 1 or 2, got {n}")
         if not self.side > 0:
             raise ValueError("root box side must be positive")
+        if not all(map(math.isfinite, (*self.origin, self.side))):
+            raise ValueError("root box origin and side must be finite")
 
     @property
     def n(self) -> int:
@@ -371,7 +385,7 @@ class LevelBlocks:
         vals[tuple(slice(0, d) for d in cells.shape)] = cells
         for d, (i, s) in enumerate(zip(self.idx, sel)):
             vals = vals.take(i[s], axis=2 * d)
-        return vals, functools.reduce(np.multiply.outer, [f[s] for f, s in zip(self.frac, sel)])
+        return vals, _outer([f[s] for f, s in zip(self.frac, sel)])
 
     def rows(self, cells: np.ndarray, sel=None) -> tuple[np.ndarray, np.ndarray]:
         """gather with one row per cube, (cubes, cells met), cubes in
@@ -450,17 +464,8 @@ class GridFunction:
     @classmethod
     def from_callable(cls, root: RootBox, depth: int, fn: Callable) -> "GridFunction":
         """Sample fn at cell centers (fn takes per-axis coordinate arrays)."""
-        m = 2 ** depth
-        axes = [
-            root.origin[d] + (np.arange(m) + 0.5) * root.side / m
-            for d in range(root.n)
-        ]
-        if root.n == 1:
-            vals = fn(axes[0])
-        else:
-            x0, x1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            vals = fn(x0, x1)
-        return cls(root, np.broadcast_to(np.asarray(vals, float), (m,) * root.n).copy())
+        vals = fn(*np.meshgrid(*cell_centers(root, depth), indexing="ij"))
+        return cls(root, np.broadcast_to(np.asarray(vals, float), (2 ** depth,) * root.n).copy())
 
     @classmethod
     def indicator(cls, root: RootBox, depth: int, lo, hi) -> "GridFunction":
@@ -470,9 +475,8 @@ class GridFunction:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         u, v = (_cell_units(x, root.lo, h, m) for x in (lo, hi))
-        axes = [_overlap_fractions(u[d], v[d], np.arange(m)) for d in range(root.n)]
-        cells = axes[0] if root.n == 1 else np.outer(axes[0], axes[1])
-        return cls(root, cells)
+        return cls(root, _outer([_overlap_fractions(u[d], v[d], np.arange(m))
+                                 for d in range(root.n)]))
 
     def with_cells(self, cells: np.ndarray) -> "GridFunction":
         return GridFunction(self.root, cells)
@@ -492,11 +496,7 @@ class GridFunction:
         return self.cell_side ** self.n
 
     def cell_centers(self) -> list[np.ndarray]:
-        m = 2 ** self.depth
-        return [
-            self.root.origin[d] + (np.arange(m) + 0.5) * self.root.side / m
-            for d in range(self.n)
-        ]
+        return cell_centers(self.root, self.depth)
 
     def integral(self) -> float:
         return float(self._cum.flat[-1] * self.cell_volume)
@@ -581,9 +581,7 @@ class GridFunction:
             i1 = int(math.ceil(v[d])) if u[d] < v[d] else 0
             slices.append(slice(i0, i1))
             axes.append(_overlap_fractions(u[d], v[d], np.arange(i0, i1)))
-        if self.n == 1:
-            return (slices[0],), axes[0]
-        return (slices[0], slices[1]), np.outer(axes[0], axes[1])
+        return tuple(slices), _outer(axes)
 
     # -- arithmetic ---------------------------------------------------------
 

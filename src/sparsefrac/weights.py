@@ -11,13 +11,15 @@ self-consistent.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, range_coords
+from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cell_centers, range_coords
+from .orlicz import YoungFunction, luxemburg_norm_blocks
 
 __all__ = [
     "ExponentTriple",
@@ -110,26 +112,24 @@ class CubeBattery:
             raise ValueError("battery level out of range")
         self.family = family
         self.max_level = max_level
+        # (grid, level, per-axis inside ranges) in battery order
+        self._levels = [(g, k, family.inside_range(g, k))
+                        for g in range(family.num_grids) for k in range(max_level + 1)]
         parts = []  # per (grid, level): lo, hi, volumes
-        for g, k, coords in self._levels():
+        for g, k, ranges in self._levels:
+            coords = range_coords(ranges)
             parts.append((*family.cube_corners(g, k, coords),
                           np.full(len(coords), family.volume_at(k))))
         self._lo, self._hi, self._vol = (np.concatenate(a) for a in zip(*parts))
         if not len(self._vol):
             raise ValueError("empty battery")
 
-    def _levels(self):
-        """(grid, level, coordinate array) in battery order."""
-        for g in range(self.family.num_grids):
-            for k in range(self.max_level + 1):
-                yield g, k, range_coords(self.family.inside_range(g, k))
-
     @functools.cached_property
     def cubes(self) -> list[DyadicCube]:
         """The battery cubes in battery order, made on first use: the
         verifiers read only the corner arrays."""
-        return [DyadicCube(g, k, tuple(m)) for g, k, coords in self._levels()
-                for m in coords.tolist()]
+        return [DyadicCube(g, k, tuple(m)) for g, k, ranges in self._levels
+                for m in range_coords(ranges).tolist()]
 
     def __len__(self) -> int:
         return len(self._vol)
@@ -149,13 +149,11 @@ class CubeBattery:
         fractions), one row per cube; a level's battery cubes are a
         contiguous row range of its level_blocks gather."""
         start = 0
-        for g in range(self.family.num_grids):
-            for k in range(self.max_level + 1):
-                blocks = self.family.level_blocks(g, k, gf.depth)
-                sel = blocks.select(self.family.inside_range(g, k))
-                vals, frac = blocks.rows(gf.cells, sel)
-                yield slice(start, start + len(vals)), vals, frac
-                start += len(vals)
+        for g, k, ranges in self._levels:
+            blocks = self.family.level_blocks(g, k, gf.depth)
+            vals, frac = blocks.rows(gf.cells, blocks.select(ranges))
+            yield slice(start, start + len(vals)), vals, frac
+            start += len(vals)
 
     def cell_min(self, gf: GridFunction) -> np.ndarray:
         """Per-cube minimum over cells meeting the cube with positive measure."""
@@ -267,20 +265,17 @@ def ainfty_characteristic(sigma: GridFunction, context_p: float, battery: CubeBa
 def reverse_holder_exponent(sigma: GridFunction, battery: CubeBattery) -> float:
     """Largest s in [1, RH_CAP] with (avg sigma^s)^(1/s) <= 2 avg sigma on the battery.
 
-    Found by bisection to within 1e-6; returns RH_CAP when the inequality
-    still holds there, and 1.0 when it already fails just above 1.  Raises
-    ValueError when an average of sigma^s comes out negative or non-finite,
-    as the box integrals of a large power can when they lose all precision.
+    The power means (avg sigma^s)^(1/s) are the Luxemburg gauges of the
+    power kind t^s over the battery's overlap rows, a closed form that
+    rescales the rows whose s-sum leaves the float range.  Found by
+    bisection to within 1e-6; returns RH_CAP when the inequality still
+    holds there, and 1.0 when it already fails just above 1.
     """
+    rows = [(vals, frac) for _, vals, frac in battery.overlap_rows(sigma)]
+    bound = 2.0 * battery.averages(sigma)
 
     def holds(s: float) -> bool:
-        avg = battery.averages(sigma.power(s))
-        bad = ~np.isfinite(avg) | (avg < 0)
-        if bad.any():
-            raise ValueError(
-                f"{int(bad.sum())} battery averages of sigma^{s:.6g} are negative or "
-                f"non-finite (smallest {np.min(avg[bad]):.6g})")
-        return bool(np.all(avg ** (1.0 / s) <= 2.0 * battery.averages(sigma)))
+        return bool(np.all(luxemburg_norm_blocks(rows, YoungFunction("power", s)) <= bound))
 
     if not holds(1.0 + 1e-9):
         return 1.0
@@ -373,7 +368,9 @@ def admissible_gamma_range(e: ExponentTriple) -> tuple[float, float]:
     return (-e.n / e.q, e.n / e.p_prime if e.p > 1 else 0.0)
 
 
-def _power_cell_average_1d(a: float, b: float, x0: float, gamma: float) -> float:
+def _power_cell_average_1d(lo, hi, x0, gamma: float) -> float:
+    """Exact average of |x - x0|^gamma over the interval [lo[0], hi[0]]."""
+    (a,), (b,), (x0,) = lo, hi, x0
     g1 = gamma + 1.0
     if g1 <= 0:
         raise ValueError("gamma must exceed -1 for an integrable 1-d weight")
@@ -474,31 +471,26 @@ def power_weight(root: RootBox, depth: int, gamma: float, x0) -> Weight:
     Cells whose closure contains x0 take the exact analytic cell average
     instead (center sampling there would be undefined or wildly unstable).
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     x0 = named_center(root, x0)
     m = 2 ** depth
     h = root.side / m
+    offsets = [c - x for c, x in zip(cell_centers(root, depth), x0)]
     if root.n == 1:
-        centers = root.origin[0] + (np.arange(m) + 0.5) * h
-        cells = np.abs(centers - x0[0]) ** gamma
-        i0 = int(np.clip(math.floor((x0[0] - root.origin[0]) / h), 0, m - 1))
-        for i in {max(i0 - 1, 0), i0, min(i0 + 1, m - 1)}:
-            a = root.origin[0] + i * h
-            if a <= x0[0] <= a + h:
-                cells[i] = _power_cell_average_1d(a, a + h, x0[0], gamma)
+        cells = np.abs(offsets[0]) ** gamma
     else:
-        c0 = root.origin[0] + (np.arange(m) + 0.5) * h
-        c1 = root.origin[1] + (np.arange(m) + 0.5) * h
-        dx = c0[:, None] - x0[0]
-        dy = c1[None, :] - x0[1]
+        dx, dy = offsets[0][:, None], offsets[1][None, :]
         cells = (dx * dx + dy * dy) ** (gamma / 2.0)
-        i0 = int(np.clip(math.floor((x0[0] - root.origin[0]) / h), 0, m - 1))
-        j0 = int(np.clip(math.floor((x0[1] - root.origin[1]) / h), 0, m - 1))
-        for i in range(max(i0 - 1, 0), min(i0 + 2, m)):
-            for j in range(max(j0 - 1, 0), min(j0 + 2, m)):
-                lo = (root.origin[0] + i * h, root.origin[1] + j * h)
-                hi = (lo[0] + h, lo[1] + h)
-                if lo[0] <= x0[0] <= hi[0] and lo[1] <= x0[1] <= hi[1]:
-                    cells[i, j] = _power_cell_average_2d(lo, hi, x0, gamma)
+    average = _power_cell_average_1d if root.n == 1 else _power_cell_average_2d
+    near = []  # per axis, the cells whose closure holds x0
+    for o, x in zip(root.origin, x0):
+        i0 = int(np.clip(math.floor((x - o) / h), 0, m - 1))
+        near.append([i for i in range(max(i0 - 1, 0), min(i0 + 2, m))
+                     if o + i * h <= x <= o + i * h + h])
+    for idx in itertools.product(*near):
+        lo = tuple(o + i * h for o, i in zip(root.origin, idx))
+        cells[idx] = average(lo, tuple(v + h for v in lo), x0, gamma)
     return Weight(GridFunction(root, cells))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -88,6 +89,29 @@ class TestChar:
         assert result.exit_code == 0
         doc = json.loads((out / "characteristics.json").read_text())
         assert doc["apq_characteristic"] > 1.0
+
+
+class TestTwoDimensions:
+    CONFIG = {"run": {"depth": 4, "battery_depth": 2},
+              "domain": {"dimension": 2, "origin": [0.0, 0.0], "side": 1.0},
+              "exponents": {"alpha": 0.6, "p": 2.0},
+              "weight": {"kind": "power", "gamma": -0.15, "x0": "third"},
+              "function": {"kind": "indicator", "box": [[0.25, 0.25], [0.75, 0.75]]},
+              "commutator": {"b": "logdist", "x0": "third"},
+              "verify": {"theorems": ["strong_pq"], "gammas": 1},
+              "sweep": {"theorems": ["strong_pq"], "gammas": 2}}
+
+    @pytest.mark.parametrize("command, name", [
+        ("char", None), ("sparse", None), ("verify", None), ("sweep", None),
+        *(("op", name) for name, (one_d_only, _) in cli._OPERATORS.items() if not one_d_only),
+    ])
+    def test_power_weight_runs(self, runner, tmp_path, command, name):
+        doc = {**self.CONFIG, "op": {"name": name or "dyadic_fractional_integral"}}
+        doc["run"] = {**doc["run"], "out": str(tmp_path / "out")}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 0, result.output
 
 
 class TestVerify:
@@ -598,6 +622,24 @@ class TestConfigErrors:
             ({"op.name": "commutator", "commutator.b": "logdist",
               "commutator.x0": [0.1, 0.2, 0.3]},
              "key commutator.x0 must be a point of dimension 1, got [0.1, 0.2, 0.3]", ("op",)),
+            ({"domain.side": math.inf}, "root box origin and side must be finite", COMMANDS),
+            ({"domain.origin": [math.nan]}, "root box origin and side must be finite", COMMANDS),
+            ({"weight.x0": [math.nan]}, "key weight.x0 must be a point of dimension 1, got [nan]",
+             ("char", "op", "sparse")),
+            ({"op.name": "commutator", "commutator.b": "logdist", "commutator.x0": [math.nan]},
+             "key commutator.x0 must be a point of dimension 1, got [nan]", ("op",)),
+            ({"function.kind": "indicator", "function.box": [[math.nan], [0.5]]},
+             "key function.box must be two corners of dimension 1, got [[nan], [0.5]]",
+             ("op", "sparse")),
+            ({"verify.threshold_factor": -1},
+             "key verify.threshold_factor must be positive and finite, got -1", ("verify",)),
+            ({"verify.threshold_factor": math.nan},
+             "key verify.threshold_factor must be positive and finite, got nan", ("verify",)),
+            ({"weight.gamma": -5}, "gamma must exceed -1 for an integrable 1-d weight",
+             ("char", "op", "sparse")),
+            ({"weight.gamma": math.nan}, "gamma must be finite, got nan", ("char", "op", "sparse")),
+            ({"function.value": math.inf}, "key function.value must be finite, got inf",
+             ("op", "sparse")),
         ]
         for command in commands
     ])

@@ -15,3 +15,38 @@ def test_no_private_names_imported_across_modules():
                           if alias.name.startswith("_")
                           and not (alias.name.startswith("__") and alias.name.endswith("__"))]
     assert found == []
+
+
+# each module may import only the modules before it
+LAYERS = ("grid", "orlicz", "weights", "operators", "sparse", "verify", "config", "cli")
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a module imports, with "" for the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[2].partition(".")[0] for alias in node.names
+                      if alias.name.partition(".")[0] == "sparsefrac"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "sparsefrac":
+                    continue
+                module = module.partition(".")[2]
+            module = module.partition(".")[0]
+            if module:
+                found.add(module)
+            else:  # from the package: submodules or the package's own names
+                found |= {alias.name if alias.name in LAYERS else "" for alias in node.names}
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    assert {path.stem for path in PACKAGE.glob("*.py")} == {*LAYERS, "__init__"}
+    found = []
+    for i, name in enumerate(LAYERS):
+        allowed = set(LAYERS[:i]) | ({""} if name == "cli" else set())  # cli reads __version__
+        found += [f"{name} imports {module or 'the package'}"
+                  for module in sorted(package_imports(PACKAGE / f"{name}.py") - allowed)]
+    assert found == []

@@ -33,6 +33,7 @@ from .oracles import (
     containing_cube,
     cubes_inside_root,
     naive_box_integral,
+    overlap_weights,
     power_cell_average_2d_mp,
     power_cell_average_2d_recursive,
 )
@@ -319,15 +320,36 @@ class TestReverseHolder:
         assert holds(s)
         assert not holds(s + 1e-3)
 
-    def test_negative_power_averages_raise(self, root2):
-        # the box integrals of w^64 lose all precision here: some battery
-        # averages come out negative, and their 1/64 root would be NaN
+    def test_2d_power_weight_in_range(self, root2):
+        # the input on which box integrals of w^64 once came out negative
         w = power_weight(root2, 8, -0.2, (1 / 3, 1 / 3))
         bat = CubeBattery(DyadicGridFamily(root2, 8), 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"averages of sigma\^64 are negative or non-finite"):
-                reverse_holder_exponent(w.base, bat)
+            assert 1.0 <= reverse_holder_exponent(w.base, bat) <= RH_CAP
+
+    @pytest.mark.parametrize("gamma, x0", [(-1.0, "center"), (1.5, "third")])
+    def test_2d_equals_fsum_bisection(self, root2, gamma, x0):
+        # the same bisection over power means summed with math.fsum from
+        # direct overlap fractions, and sharp as in test_bisection_sharpness
+        sigma = power_weight(root2, 5, gamma, x0).base
+        bat = CubeBattery(DyadicGridFamily(root2, 5), 3)
+        fracs = [overlap_weights(sigma, *bat.bounds(i)).ravel() for i in range(len(bat))]
+        cells = sigma.cells.ravel()
+        avg = [math.fsum(f * cells) / math.fsum(f) for f in fracs]
+
+        def holds(s):
+            return all((math.fsum(f * cells ** s) / math.fsum(f)) ** (1 / s) <= 2 * a
+                       for f, a in zip(fracs, avg))
+
+        lo, hi = 1.0 + 1e-9, RH_CAP
+        assert holds(lo) and not holds(hi)
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        s = reverse_holder_exponent(sigma, bat)
+        assert s == lo
+        assert holds(s) and not holds(s + 1e-3)
 
     def test_at_least_one(self, bat6, root1):
         rng = np.random.default_rng(8)
