@@ -19,15 +19,7 @@ import numpy as np
 from . import __version__
 from .config import FORMATS, ConfigError, load_config, require
 from .grid import DyadicGridFamily, GridFunction, RootBox, write_gridfunction
-from .operators import (
-    commutator_1d,
-    dyadic_commutator,
-    dyadic_fractional_integral,
-    dyadic_fractional_maximal,
-    fractional_maximal,
-    riesz_potential_1d,
-    weighted_orlicz_fractional_maximal,
-)
+from .operators import OPERATORS
 from .sparse import certify_sparse, sparse_family_to_json, sparse_select_for_operator
 from .verify import (
     THEOREM_TABLE,
@@ -93,13 +85,10 @@ def _setup(config_path, out_dir, seed, depth, fmt) -> _Setup:
         cfg = load_config(config_path)
     except ConfigError as exc:
         _fail_config(str(exc))
-    run = cfg["run"]
+    run, dom = cfg["run"], cfg["domain"]
     for key, value in (("out", out_dir), ("seed", seed), ("depth", depth), ("format", fmt)):
         if value is not None:
             run[key] = value
-    dom = cfg["domain"]
-    if len(dom["origin"]) != dom["dimension"]:
-        _fail_config("domain.origin length must match domain.dimension")
     try:  # the library's own checks of the box, the depth and the exponents
         root = RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
         family = DyadicGridFamily(root, run["depth"])
@@ -138,11 +127,7 @@ def _function(s: _Setup) -> tuple[GridFunction, GridFunction]:
     w = _weight(s)
     sigma = w.base if s.e.p == 1 else w.sigma(s.e)
     fc = s.cfg["function"]
-    box = fc.get("box")
-    if fc["kind"] in ("indicator", "sigma_probe"):
-        if box is None:
-            _fail_config("missing required key 'function.box'")
-        box = (tuple(float(v) for v in box[0]), tuple(float(v) for v in box[1]))
+    box = fc.get("box") and tuple(map(tuple, fc["box"]))  # None or two checked corners
     spec = FunctionSpec(fc["kind"], box, float(fc["value"]))
     return materialize_function(spec, s.root, s.depth, sigma), sigma
 
@@ -203,43 +188,17 @@ def char(s: _Setup):
                 fh.write(f"{name},{value:.17g}\n")
 
 
-def _bump(s: _Setup) -> GridFunction:
-    bc = s.cfg["commutator"]
-    return materialize_bump(BumpSpec(bc["b"], bc["x0"]), s.root, s.depth)
-
-
-# op.name -> (needs domain.dimension 1, apply(setup, f, sigma, family, grid id))
-_OPERATORS = {
-    "riesz_potential": (True, lambda s, f, sigma, fam, gid: riesz_potential_1d(f, s.e.alpha)),
-    "dyadic_fractional_integral": (False, lambda s, f, sigma, fam, gid:
-                                   dyadic_fractional_integral(f, s.e.alpha, fam, gid)),
-    "dyadic_fractional_maximal": (False, lambda s, f, sigma, fam, gid:
-                                  dyadic_fractional_maximal(f, s.e.alpha, fam, gid)),
-    "fractional_maximal": (False, lambda s, f, sigma, fam, gid:
-                           fractional_maximal(f, s.e.alpha, fam)),
-    "weighted_orlicz_fractional_maximal": (False, lambda s, f, sigma, fam, gid:
-                                           weighted_orlicz_fractional_maximal(
-                                               f, sigma, s.e.alpha,
-                                               YOUNG_FUNCTIONS[s.cfg["op"]["phi"]], fam, gid)),
-    "commutator": (True, lambda s, f, sigma, fam, gid: commutator_1d(_bump(s), f, s.e.alpha)),
-    "dyadic_commutator": (False, lambda s, f, sigma, fam, gid:
-                          dyadic_commutator(_bump(s), f, s.e.alpha, fam, gid)),
-}
-
-
 @_command
 def op(s: _Setup):
     """Apply one operator and write the output mesh function."""
     name = s.cfg["op"].get("name")
     if name is None:
         _fail_config("missing required key 'op.name'")
-    if name not in _OPERATORS:
-        _fail_config(f"op.name must be one of {', '.join(_OPERATORS)}")
-    one_d_only, apply = _OPERATORS[name]
-    if one_d_only and s.root.n != 1:
-        _fail_config(f"op.name {name} needs domain.dimension 1")
     f, sigma = _function(s)
-    result = apply(s, f, sigma, s.family, s.cfg["op"]["grid"])
+    bc = s.cfg["commutator"]
+    bump = functools.partial(materialize_bump, BumpSpec(bc["b"], bc["x0"]), s.root, s.depth)
+    result = OPERATORS[name][1](f, sigma, s.e.alpha, YOUNG_FUNCTIONS[s.cfg["op"]["phi"]], bump,
+                                s.family, s.cfg["op"]["grid"])
     _write_meta(s)
     path = s.out / f"op_{name}.bin"
     write_gridfunction(result.values, path)
@@ -265,24 +224,22 @@ def sparse(s: _Setup):
         sys.exit(1)
 
 
-def _batteries(s: _Setup, section: str, emit, check=None, **options) -> None:
+def _batteries(s: _Setup, section: str, emit, **options) -> None:
     """Run the battery of every theorem in <section>.theorems in one run scope,
     with run_meta.json written before and after: an endpoint theorem at p = 1,
-    any other at the configured p, which must exceed 1.  check(theorem) may
-    reject a theorem first; emit(theorem, exponents, result) gets each result."""
+    any other at the configured p, which must exceed 1 for every theorem
+    before the first runs.  emit(theorem, exponents, result) gets each result."""
     theorems = s.cfg[section].get("theorems")
     if not theorems:
         _fail_config(f"missing required key '{section}.theorems'")
+    for theorem in theorems:
+        if THEOREM_TABLE[theorem].p != "= 1" and s.e.p == 1:
+            _fail_config(f"theorem {theorem} needs exponents.p > 1")
+    endpoint = ExponentTriple(s.e.n, s.e.alpha, 1.0)
     _write_meta(s)
     with run_scope() as scope:
         for theorem in theorems:
-            if check is not None:
-                check(theorem)
-            te = s.e
-            if THEOREM_TABLE[theorem].p == "= 1":
-                te = ExponentTriple(te.n, te.alpha, 1.0)
-            elif te.p == 1:
-                _fail_config(f"theorem {theorem} needs exponents.p > 1")
+            te = endpoint if THEOREM_TABLE[theorem].p == "= 1" else s.e
             result = run_battery(theorem, te, s.root, depth=s.depth,
                                  battery_depth=s.battery_depth,
                                  gammas=s.cfg[section]["gammas"], **options)
@@ -325,17 +282,13 @@ def verify(s: _Setup):
 def sweep(s: _Setup):
     """Gamma sweeps with plot-data export and slope fits."""
 
-    def check(theorem):
-        if THEOREM_TABLE[theorem].power is None:
-            _fail_config(f"theorem {theorem} has no characteristic to sweep")
-
     def emit(theorem, te, result):
         path = s.out / f"sweep_{theorem}.csv"
         slope = write_sweep_csv(result, path)
         power = THEOREM_TABLE[theorem].power(te)
         click.echo(f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}")
 
-    _batteries(s, "sweep", emit, check)
+    _batteries(s, "sweep", emit)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Unknown sections or keys are rejected, and so is a name that the table of
 its key does not hold; required keys are reported by their dotted path, and
-YAML syntax errors surface with the parser's line/column mark.
+YAML syntax errors surface with the parser's line/column mark.  Every rule
+of a key, alone or with others, is checked here, before a command's output.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 
 import yaml
 
+from .operators import OPERATORS
 from .verify import BUMP_KINDS, FUNCTION_KINDS, THEOREM_TABLE, WEIGHT_KINDS, YOUNG_FUNCTIONS
 from .weights import CENTERS
 
@@ -39,7 +41,8 @@ _KEYS: dict[str, dict[str, tuple]] = {
     "function": {"kind": (str, "constant", FUNCTION_KINDS), "box": (list, None),
                  "value": (_NUMBER, 1.0)},
     "commutator": {"b": (str, "step", BUMP_KINDS), "x0": ((str, list), "third", CENTERS)},
-    "op": {"name": (str, None), "grid": (int, 0), "phi": (str, "llog", YOUNG_FUNCTIONS)},
+    "op": {"name": (str, None, OPERATORS), "grid": (int, 0),
+           "phi": (str, "llog", YOUNG_FUNCTIONS)},
     "verify": {"theorems": (list, None, THEOREM_TABLE), "gammas": (int, 8),
                "threshold_factor": (_NUMBER, 4.0)},
     "sweep": {"theorems": (list, None, THEOREM_TABLE), "gammas": (int, 8)},
@@ -72,7 +75,8 @@ def load_config(path) -> dict:
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
             expected, _, *tables = _KEYS[section][key]
-            if not isinstance(value, expected):
+            # YAML reads on, yes and true as True, and isinstance(True, int) holds
+            if not isinstance(value, expected) or isinstance(value, bool):
                 name = getattr(expected, "__name__", None) or \
                     "/".join(t.__name__ for t in expected)
                 raise ConfigError(
@@ -92,22 +96,39 @@ def load_config(path) -> dict:
             merged[section] = defaults | raw.get(section, {})
     if merged["run"]["jobs"] != 1:
         raise ConfigError("key run.jobs must be 1: cases run one at a time")
-    n = merged["domain"]["dimension"]
+    # least values: below one gamma a battery compares its calibration weight with itself
+    for section, key, least in (("run", "battery_depth", 0), ("verify", "gammas", 1),
+                                ("sweep", "gammas", 1)):
+        if merged[section][key] < least:
+            raise ConfigError(f"key {section}.{key} must be >= {least}, "
+                              f"got {merged[section][key]}")
+    n, origin = merged["domain"]["dimension"], merged["domain"]["origin"]
+    if len(origin) != n:
+        raise ConfigError("domain.origin length must match domain.dimension")
+    # a coordinate's own type is int or float: YAML's True is an int to isinstance,
+    # and RootBox rejects a non-finite coordinate
+    if not all(type(x) in _NUMBER for x in origin):
+        raise ConfigError(f"key domain.origin must hold numbers, got {origin!r}")
     if not 0 <= merged["op"]["grid"] < 2 ** n:
         raise ConfigError(f"key op.grid must be in [0, {2 ** n}) in dimension {n}")
-    if merged["run"]["battery_depth"] < 0:
-        raise ConfigError(f"key run.battery_depth must be >= 0, "
-                          f"got {merged['run']['battery_depth']}")
+    name = merged["op"].get("name")
+    if name is not None and OPERATORS[name][0] and n != 1:
+        raise ConfigError(f"op.name {name} needs domain.dimension 1")
+    for theorem in merged["sweep"].get("theorems", ()):
+        if THEOREM_TABLE[theorem].power is None:
+            raise ConfigError(f"theorem {theorem} has no characteristic to sweep")
 
     def point(v):
         return isinstance(v, list) and len(v) == n and all(
-            isinstance(x, _NUMBER) and math.isfinite(x) for x in v)
+            type(x) in _NUMBER and math.isfinite(x) for x in v)
 
     for section in ("weight", "commutator"):
         x0 = merged[section]["x0"]
         if isinstance(x0, list) and not point(x0):
             raise ConfigError(f"key {section}.x0 must be a point of dimension {n}, got {x0!r}")
     box = merged["function"].get("box")
+    if box is None and FUNCTION_KINDS[merged["function"]["kind"]][0]:
+        raise ConfigError("missing required key 'function.box'")
     if box is not None and not (len(box) == 2 and all(map(point, box))):
         raise ConfigError(f"key function.box must be two corners of dimension {n}, got {box!r}")
     # the cell values of the constant and step weights, and the verdict threshold's scale

@@ -35,6 +35,7 @@ __all__ = [
     "commutator_1d",
     "commutator_plan",
     "dyadic_commutator",
+    "OPERATORS",
     "bmo_norm",
     "inner_outer_split",
     "level_set_cubes",
@@ -356,6 +357,28 @@ def dyadic_commutator(
                          + (cbm[:, -1:] - 2.0 * cbm).ravel()[split])
         visits += len(fv)
     return OperatorOutput(f.with_cells(out), "dyadic_commutator", grid_id, visits)
+
+
+# op.name -> (needs dimension 1, apply(f, sigma, alpha, phi, bump, family, grid_id)),
+# where bump() builds b; the lambdas reach the operators through this module's
+# globals at call time, where tracing may rebind them
+OPERATORS = {
+    "riesz_potential": (True, lambda f, sigma, alpha, phi, bump, fam, gid:
+                        riesz_potential_1d(f, alpha)),
+    "dyadic_fractional_integral": (False, lambda f, sigma, alpha, phi, bump, fam, gid:
+                                   dyadic_fractional_integral(f, alpha, fam, gid)),
+    "dyadic_fractional_maximal": (False, lambda f, sigma, alpha, phi, bump, fam, gid:
+                                  dyadic_fractional_maximal(f, alpha, fam, gid)),
+    "fractional_maximal": (False, lambda f, sigma, alpha, phi, bump, fam, gid:
+                           fractional_maximal(f, alpha, fam)),
+    "weighted_orlicz_fractional_maximal": (False, lambda f, sigma, alpha, phi, bump, fam, gid:
+                                           weighted_orlicz_fractional_maximal(
+                                               f, sigma, alpha, phi, fam, gid)),
+    "commutator": (True, lambda f, sigma, alpha, phi, bump, fam, gid:
+                   commutator_1d(bump(), f, alpha)),
+    "dyadic_commutator": (False, lambda f, sigma, alpha, phi, bump, fam, gid:
+                          dyadic_commutator(bump(), f, alpha, fam, gid)),
+}
 
 
 def bmo_norm(b: GridFunction, battery: CubeBattery) -> float:

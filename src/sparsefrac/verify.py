@@ -258,14 +258,15 @@ WEIGHT_KINDS = {
     "power": lambda spec, root, depth: power_weight(root, depth, spec.gamma, spec.x0),
     "step": lambda spec, root, depth: step_weight(root, depth, spec.low, spec.high),
 }
-# kind -> builder from (spec, root, depth, sigma); sigma_probe, the extremal
-# direction, is the dual density sigma cut to the box
+# kind -> (needs a box, builder from (spec, root, depth, sigma)); sigma_probe, the
+# extremal direction, is the dual density sigma cut to the box
 FUNCTION_KINDS = {
-    "constant": lambda spec, root, depth, sigma: GridFunction.constant(root, depth, spec.value),
-    "indicator": lambda spec, root, depth, sigma:
-        GridFunction.indicator(root, depth, *spec.box) * spec.value,
-    "sigma_probe": lambda spec, root, depth, sigma:
-        GridFunction.indicator(root, depth, *spec.box) * sigma,
+    "constant": (False, lambda spec, root, depth, sigma:
+                 GridFunction.constant(root, depth, spec.value)),
+    "indicator": (True, lambda spec, root, depth, sigma:
+                  GridFunction.indicator(root, depth, *spec.box) * spec.value),
+    "sigma_probe": (True, lambda spec, root, depth, sigma:
+                    GridFunction.indicator(root, depth, *spec.box) * sigma),
 }
 # kind -> builder from (spec, root, depth); the step is 1 on the upper half of the first axis
 BUMP_KINDS = {
@@ -286,7 +287,7 @@ def materialize_weight(spec: WeightSpec, root: RootBox, depth: int) -> Weight:
 def materialize_function(
     spec: FunctionSpec, root: RootBox, depth: int, sigma: GridFunction | None = None
 ) -> GridFunction:
-    return FUNCTION_KINDS[spec.kind](spec, root, depth, sigma)
+    return FUNCTION_KINDS[spec.kind][1](spec, root, depth, sigma)
 
 
 def materialize_bump(spec: BumpSpec, root: RootBox, depth: int) -> GridFunction:

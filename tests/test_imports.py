@@ -50,3 +50,47 @@ def test_modules_import_only_earlier_layers():
         found += [f"{name} imports {module or 'the package'}"
                   for module in sorted(package_imports(PACKAGE / f"{name}.py") - allowed)]
     assert found == []
+
+
+# numpy names whose float64 calls may run a BLAS kernel, which the host's CPU picks
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
+# today's BLAS sites in value paths, by enclosing top-level function; a site
+# leaves this list when its value stops depending on the BLAS kernel
+BLAS_SITES = {
+    "operators.riesz_potential_at": ["np.dot"],
+    "orlicz.amemiya_norm": ["np.dot"],
+    "orlicz.generalized_holder_check": ["@"],
+    "verify.verify_summation_lemma": ["np.dot"],
+    "weights._power_cell_average_2d": ["@"],
+}
+
+
+def blas_sites(path: Path) -> dict[str, list[str]]:
+    """Each top-level function's (or method's) BLAS-capable calls: the names
+    above, any np.linalg function, and the @ operator."""
+    found: dict[str, list[str]] = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.setdefault(owner, []).append("@")
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.rpartition(".")[2] in BLAS_NAMES or "linalg" in name.split("."):
+                found.setdefault(owner, []).append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for top in ast.parse(path.read_text(), str(path)).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            within = [top.name] if node is not top else []
+            visit(node, ".".join([path.stem, *within, getattr(node, "name", "<module>")]))
+    return found
+
+
+def test_blas_calls_only_at_the_known_sites():
+    # a new BLAS call in a value path makes reported bits depend on the CPU
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= blas_sites(path)
+    assert found == BLAS_SITES

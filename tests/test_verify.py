@@ -685,6 +685,20 @@ class TestRunScope:
         assert metrics["cli.verify.self_s"] > 0
         assert metrics["verify.write_reports.bytes"] == (out / "reports.csv").stat().st_size
 
+    def test_benchmark_tracer_reaches_the_operator_table(self, tmp_path):
+        # operators.OPERATORS reaches each operator through the module's
+        # globals at call time, so the tracer's rebinding sees what op calls
+        out = tmp_path / "out"
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"run:\n  depth: 6\n  battery_depth: 4\n  out: {out}\n"
+            "exponents:\n  alpha: 0.3333333333333333\n  p: 2.0\n"
+            "op:\n  name: dyadic_fractional_integral\n")
+        with benchmark_tracer() as tracer:
+            cli.main(["op", "--config", str(path)], standalone_mode=False)
+            spans = [name for name, *_ in tracer.spans]
+        assert spans.count("operators.dyadic_fractional_integral.aligned") == 1
+
     def test_outside_a_scope_every_call_computes(self, monkeypatch):
         calls = []
         inner = verify.dyadic_fractional_integral
