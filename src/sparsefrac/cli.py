@@ -285,8 +285,9 @@ def sweep(s: _Setup):
     def emit(theorem, te, result):
         path = s.out / f"sweep_{theorem}.csv"
         slope = write_sweep_csv(result, path)
+        fit = "slope undefined (fewer than two gammas)" if slope is None else f"slope {slope:.4f}"
         power = THEOREM_TABLE[theorem].power(te)
-        click.echo(f"{theorem}: slope {slope:.4f} (stated exponent {power:.4f}), wrote {path}")
+        click.echo(f"{theorem}: {fit} (stated exponent {power:.4f}), wrote {path}")
 
     _batteries(s, "sweep", emit)
 

@@ -9,12 +9,16 @@ deterministic).
 
 The Luxemburg gauge is a bisection on lambda for the unit-mean
 constraint, run once over blocks of rows (one block per cube level) with
-each block keeping its own stop rule.  A root located per row by Newton
-decides every bisection test whose lambda lies outside a derived error
-band [bottom, top], so only tests inside the band evaluate Phi, and every
-value is the one bisecting that block on its own gives, bit for bit.
-A value is 0 or lies in [bottom, top / (1 - rtol)], so the max-only gauge
-bisects just the blocks whose bands reach the largest bottom.
+each block keeping its own stop rule.  Each call sets up once: it checks
+and normalizes the rows, locates every row's root by Newton with an error
+band [bottom, top] around it, and opens one float-error scope.  The root
+decides every bisection test whose lambda lies outside the band, so only
+tests inside it evaluate Phi, and every value is the one bisecting that
+block on its own gives, bit for bit.  A value is 0 or lies in
+[bottom, top / (1 - rtol)], so the max-only gauge bisects just the blocks
+whose bands reach the largest bottom, on the rows and bands it made to
+pick them.  A caller gauging the same rows many times checks them once
+(checked_blocks).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .grid import GridFunction
 
 __all__ = [
     "YoungFunction",
+    "CheckedBlocks",
     "POWER1",
     "LLOG",
     "EXPM1",
@@ -36,6 +41,7 @@ __all__ = [
     "luxemburg_norm_arrays",
     "luxemburg_norm_blocks",
     "luxemburg_norm_max",
+    "checked_blocks",
     "amemiya_norm",
     "generalized_holder_check",
     "norm_sandwich_check",
@@ -75,9 +81,17 @@ class YoungFunction:
         if self.kind == "power":
             return t ** self.exponent
         if self.kind == "llog":
-            return t * np.log(math.e + t)
+            return _llog(t)
         with np.errstate(over="ignore"):
-            return np.where(t > _EXP_GUARD, np.inf, np.expm1(np.minimum(t, _EXP_GUARD)))
+            return _expm1(t)
+
+
+def _llog(t: np.ndarray) -> np.ndarray:
+    return t * np.log(math.e + t)
+
+
+def _expm1(t: np.ndarray) -> np.ndarray:
+    return np.where(t > _EXP_GUARD, np.inf, np.expm1(np.minimum(t, _EXP_GUARD)))
 
 
 POWER1 = YoungFunction("power", 1.0)
@@ -111,9 +125,10 @@ def luxemburg_norm(f: GridFunction, lo, hi, sigma: GridFunction,
 
 def _phi_means(a: np.ndarray, m: np.ndarray, lam: np.ndarray, phi: YoungFunction) -> np.ndarray:
     """Mean of Phi(a / lam) against m per row: the bisection's test is
-    that this is at most 1."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = phi(a / lam[:, None])
+    that this is at most 1.  Phi is YoungFunction.__call__'s, evaluated in
+    the caller's float-error scope, which silences overflow and invalid
+    values (see luxemburg_norm_blocks)."""
+    vals = (_llog if phi.kind == "llog" else _expm1)(a / lam[:, None])
     return np.einsum("ij,ij->i", np.where(m > 0, vals, 0.0), m)
 
 
@@ -164,40 +179,55 @@ def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
         s = 1.0 / np.maximum(np.bincount(row, m * a, nrows) / _PHI_INV_ONE[phi.kind],
                              np.maximum.reduceat(one, starts))
         del one  # the batch holds every level's cells: keep few of their arrays alive
+        if phi.kind == "llog":  # the elasticity is the constant 2
+            noise = (c + 8.0 + 4.0 * 2.0) * _EPS
+            stop = np.maximum(1e-14, noise)
         for _ in range(_NEWTON_CAP):
             t = s[row]
             t *= a
-            tmax = np.maximum.reduceat(t, starts)
             if phi.kind == "llog":  # in place, for the same reason
                 dg = math.e + t
                 g = np.log(dg)
                 dg = np.divide(t, dg, out=dg)
                 dg += g  # Phi'(t) = log(e + t) + t/(e + t)
                 g *= t
-                elastic = 2.0
             else:
                 g = np.expm1(t)
-                dg, elastic = g + 1.0, 1.0 + tmax
-            noise = (c + 8.0 + 4.0 * elastic) * _EPS
+                dg, tmax = g + 1.0, np.maximum.reduceat(t, starts)
+                noise = (c + 8.0 + 4.0 * (1.0 + tmax)) * _EPS
+                stop = np.maximum(1e-14, noise)
             gap = np.bincount(row, np.multiply(m, g, out=g), nrows) - 1.0
-            settled = np.abs(gap) <= np.maximum(1e-14, noise)
+            settled = np.abs(gap) <= stop
             done = settled | ~np.isfinite(gap)  # G past the float range stays there
             if done.all():
                 break
             dg *= m
             dg *= a
             s = np.where(done, s, s - gap / np.bincount(row, dg, nrows))
+        if phi.kind == "llog":  # t of the last evaluated s, unchanged by the loop
+            tmax = np.maximum.reduceat(t, starts)
         root = 1.0 / s
         sure = settled & (root >= 1e-290) & (tmax <= _T_SURE[phi.kind])
         band = np.where(sure, (4.0 * noise + 2.0 * np.abs(gap)) * root, np.inf)
         return root - band, root + band
 
 
-def _checked(blocks, rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(|values|, masses normalized per row) of each checked block."""
-    if not rtol > 4.0 * _EPS:
-        raise ValueError("rtol must exceed the float spacing")
-    rows = []
+class CheckedBlocks(list):
+    """Blocks as luxemburg_norm_blocks checks them, one (|values|, masses
+    normalized per row) pair per block; it takes them as they are.  bands,
+    when set, is _live_bands' result on these blocks for the phi of the
+    call they are handed to (only luxemburg_norm_max sets it)."""
+
+    bands = None
+
+
+def checked_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> CheckedBlocks:
+    """(|values|, masses normalized per row) of each (values, masses)
+    block.  A caller gauging the same rows many times checks them once:
+    luxemburg_norm_blocks takes the result as it is and gives each row the
+    value the blocks give.  Non-finite input or a row of no mass raises
+    ValueError."""
+    rows = CheckedBlocks()
     for values, masses in blocks:
         a = np.abs(np.asarray(values, dtype=float))
         m = np.asarray(masses, dtype=float)
@@ -208,6 +238,11 @@ def _checked(blocks, rtol: float) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError("degenerate measure")
         rows.append((a, m / total[:, None]))
     return rows
+
+
+def _check_rtol(rtol: float) -> None:
+    if not rtol > 4.0 * _EPS:
+        raise ValueError("rtol must exceed the float spacing")
 
 
 def _live_bands(rows, phi: YoungFunction):
@@ -234,7 +269,7 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
     """Luxemburg gauge of sampled |values| against normalized masses for
     a sequence of (values, masses) blocks of shape (rows_i, cells_i): one
-    value per row, block after block.
+    value per row, block after block.  CheckedBlocks are taken as they are.
 
     Power kinds take the closed form (the gauge equals the p-average over
     the cells of positive mass; rows whose p-sum overflows or underflows
@@ -250,77 +285,86 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     a row of no mass, a bracket past the float range and an rtol at the
     float spacing raise ValueError.
 
-    All blocks run through one set of loops.  Each test "mean of
-    Phi(|values|/lam) <= 1" is read off a root located once per row by
-    Newton (see _locate_roots): it passes when lam lies above the root's
-    band and fails below it; only a lam inside the band, whose relative
-    half-width is 4 (c + 8 + 4 el) eps + 2 |G(root) - 1| for c positive
-    terms and elasticity el, runs the test on the block's own arrays.  So
-    every value is bit-identical to bisecting each block on its own, and
-    a block's values depend only on its own rows.
+    Each call sets up once: it checks the blocks, locates every row's
+    root by Newton (see _locate_roots) and opens one float-error scope,
+    then runs all blocks through one set of loops.  Each test "mean of
+    Phi(|values|/lam) <= 1" is read off the root: it passes when lam lies
+    above the root's band and fails below it; only a lam inside the band,
+    whose relative half-width is 4 (c + 8 + 4 el) eps + 2 |G(root) - 1|
+    for c positive terms and elasticity el, runs the test (_phi_means,
+    once per block and step) on the block's own arrays.  So every value
+    is bit-identical to bisecting each block on its own, and a block's
+    values depend only on its own rows.  The scope silences overflow and
+    invalid values, which only Phi and the bracket doubling can produce.
     """
-    rows = _checked(blocks, rtol)
+    _check_rtol(rtol)
+    rows = blocks if isinstance(blocks, CheckedBlocks) else checked_blocks(blocks)
     if phi.kind == "power":
         return np.concatenate([np.zeros(0)] + [_p_means(a, m, phi.exponent) for a, m in rows])
-    lives, rows, count, bottom, top = _live_bands(rows, phi)
+    lives, rows, count, bottom, top = rows.bands or _live_bands(rows, phi)
     out = np.zeros(sum(len(live) for live in lives))
     if not count.any():
         return out
     first = np.cumsum(count) - count  # each block's first row
+    edges = np.append(first, len(bottom))
     blk = np.repeat(np.arange(len(rows)), count)
 
     def test(lam, ids, bottom, top, bracket=None):
-        # means(lam) <= 1 for the rows ids, read off the roots outside
-        # their bands and run on the block's own arrays inside them; a
-        # lam at an end of its row's (lo, hi) bracket repeats that end's
-        # outcome (lo failed, hi passed)
+        # means(lam) <= 1 for the rows ids (ascending), read off the roots
+        # outside their bands and run on the block's own arrays inside
+        # them; a lam at an end of its row's (lo, hi) bracket repeats that
+        # end's outcome (lo failed, hi passed)
         ok = lam > top
         near = ~(ok | (lam < bottom))
-        if near.any() and bracket is not None:
-            ok |= near & (lam == bracket[1])
-            near &= (lam != bracket[0]) & (lam != bracket[1])
-        if near.any():
-            near = np.flatnonzero(near)
-            for part in np.split(near, np.flatnonzero(np.diff(blk[ids[near]])) + 1):
-                b = blk[ids[part[0]]]
-                a, m = rows[b]
-                local = ids[part] - first[b]
-                ok[part] = _phi_means(a[local], m[local], lam[part], phi) <= 1.0
+        if not near.any():
+            return ok
+        near = np.flatnonzero(near)
+        if bracket is not None:
+            at, lo_n, hi_n = lam[near], bracket[0][near], bracket[1][near]
+            ok[near[at == hi_n]] = True
+            near = near[(at != lo_n) & (at != hi_n)]
+        ids = ids[near]
+        cut = np.searchsorted(ids, edges)  # block b's near rows: cut[b] to cut[b + 1]
+        for b in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
+            part = near[cut[b]:cut[b + 1]]
+            a, m = rows[b]
+            local = ids[cut[b]:cut[b + 1]] - first[b]
+            ok[part] = _phi_means(a[local], m[local], lam[part], phi) <= 1.0
         return ok
 
-    hi = np.concatenate([a.max(axis=1, initial=0.0) for a, _ in rows])
-    up = np.flatnonzero(~test(hi, np.arange(len(hi)), bottom, top))
-    while up.size:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = np.concatenate([a.max(axis=1, initial=0.0) for a, _ in rows])
+        up = np.flatnonzero(~test(hi, np.arange(len(hi)), bottom, top))
+        while up.size:
             hi[up] *= 2.0
-        up = up[~test(hi[up], up, bottom[up], top[up])]
-    if not np.isfinite(hi).all():
-        raise ValueError("gauge bracket overflows")
-    lo = hi.copy()
-    down = np.arange(len(lo))  # every row passes at its upper bracket
-    while down.size:
-        lo[down] *= 0.5
-        down = down[lo[down] >= 1e-300]
-        down = down[test(lo[down], down, bottom[down], top[down])]
-    dead = lo < 1e-300  # lower bracket under 1e-300: gauge 0
-    # bisect; a block stops once every one of its live rows meets rtol
-    w = np.flatnonzero(~dead)
-    lo_w, hi_w, bottom_w, top_w = lo[w], hi[w], bottom[w], top[w]
-    starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
-    while w.size:
-        wide = hi_w - lo_w > rtol * hi_w
-        if not wide.all() and not (still := np.logical_or.reduceat(wide, starts)).all():
-            keep = np.repeat(still, np.diff(starts, append=w.size))
-            hi[w[~keep]] = hi_w[~keep]
-            w, lo_w, hi_w, bottom_w, top_w = (
-                x[keep] for x in (w, lo_w, hi_w, bottom_w, top_w))
-            starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
-            if not w.size:
-                break
-        mid = 0.5 * lo_w + 0.5 * hi_w  # no overflow near the float maximum
-        ok = test(mid, w, bottom_w, top_w, (lo_w, hi_w))
-        hi_w = np.where(ok, mid, hi_w)
-        lo_w = np.where(ok, lo_w, mid)
+            up = up[~test(hi[up], up, bottom[up], top[up])]
+        if not np.isfinite(hi).all():
+            raise ValueError("gauge bracket overflows")
+        lo = hi.copy()
+        down = np.arange(len(lo))  # every row passes at its upper bracket
+        while down.size:
+            lo[down] *= 0.5
+            down = down[lo[down] >= 1e-300]
+            down = down[test(lo[down], down, bottom[down], top[down])]
+        dead = lo < 1e-300  # lower bracket under 1e-300: gauge 0
+        # bisect; a block stops once every one of its live rows meets rtol
+        w = np.flatnonzero(~dead)
+        lo_w, hi_w, bottom_w, top_w = lo[w], hi[w], bottom[w], top[w]
+        starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
+        while w.size:
+            wide = hi_w - lo_w > rtol * hi_w
+            if not wide.all() and not (still := np.logical_or.reduceat(wide, starts)).all():
+                keep = np.repeat(still, np.diff(starts, append=w.size))
+                hi[w[~keep]] = hi_w[~keep]
+                w, lo_w, hi_w, bottom_w, top_w = (
+                    x[keep] for x in (w, lo_w, hi_w, bottom_w, top_w))
+                starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
+                if not w.size:
+                    break
+            mid = 0.5 * lo_w + 0.5 * hi_w  # no overflow near the float maximum
+            ok = test(mid, w, bottom_w, top_w, (lo_w, hi_w))
+            hi_w = np.where(ok, mid, hi_w)
+            lo_w = np.where(ok, lo_w, mid)
     out[np.concatenate(lives)] = np.where(dead, 0.0, hi)
     return out
 
@@ -330,16 +374,24 @@ def luxemburg_norm_max(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     """luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0), bit for
     bit, bisecting only the blocks with a row whose top / (1 - 2 rtol) (2
     rtol covering rounding) reaches the largest bottom, or whose bracket
-    could double past the float range: no other block holds the maximum."""
-    blocks = list(blocks)
-    if phi.kind != "power":
-        count, bottom, top = _live_bands(_checked(blocks, rtol), phi)[2:]
-        held = np.flatnonzero(count)
-        reach = np.maximum.reduceat(top, (np.cumsum(count) - count)[held])
-        # fmax skips the NaN bottoms of rows whose sum of m a overflows
-        floor = min(np.fmax.reduce(bottom, initial=-np.inf), 2.0 ** 1023) * (1.0 - 2.0 * rtol)
-        blocks = [blocks[b] for b in held[reach >= floor]]
-    return float(luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0))
+    could double past the float range: no other block holds the maximum.
+    Those blocks reach luxemburg_norm_blocks with the rows and root bands
+    made here, so every block is checked and every root located once."""
+    if phi.kind == "power":
+        return float(luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0))
+    _check_rtol(rtol)
+    rows = checked_blocks(blocks)
+    lives, live_rows, count, bottom, top = _live_bands(rows, phi)
+    held = np.flatnonzero(count)
+    reach = np.maximum.reduceat(top, (np.cumsum(count) - count)[held])
+    # fmax skips the NaN bottoms of rows whose sum of m a overflows
+    floor = min(np.fmax.reduce(bottom, initial=-np.inf), 2.0 ** 1023) * (1.0 - 2.0 * rtol)
+    keep = held[reach >= floor]
+    on = np.repeat(np.isin(np.arange(len(rows)), keep), count)  # their live rows
+    part = CheckedBlocks(rows[b] for b in keep)
+    part.bands = ([lives[b] for b in keep], [live_rows[b] for b in keep],
+                  count[keep], bottom[on], top[on])
+    return float(luxemburg_norm_blocks(part, phi, rtol).max(initial=0.0))
 
 
 def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction, phi: YoungFunction) -> float:

@@ -333,9 +333,10 @@ class RunScope:
     other arguments and the fingerprints of their mesh-function inputs.
     Workspaces, weights, the cases' functions and bumps have no mesh inputs
     and are keyed by their arguments alone.  A hit is confirmed by comparing
-    roots and cells with the stored inputs, so a fingerprint collision costs
-    a recomputation, never a wrong result.  computed and reused count the
-    results of each kind.
+    roots and cells with the stored inputs (cells are read-only, so the same
+    array needs no comparison), so a fingerprint collision costs a
+    comparison or a recomputation, never a wrong result.  computed and
+    reused count the results of each kind.
     """
 
     def __init__(self):
@@ -345,7 +346,7 @@ class RunScope:
         store = self.entries.setdefault(kind, {})
         bucket = store.setdefault((params, *(g.fingerprint for g in inputs)), [])
         for held, result in bucket:
-            if all(root == g.root and np.array_equal(cells, g.cells)
+            if all(root == g.root and (cells is g.cells or np.array_equal(cells, g.cells))
                    for (root, cells), g in zip(held, inputs)):
                 self.reused[kind] += 1
                 return result
@@ -397,6 +398,12 @@ def _integral(f: GridFunction, alpha: float, ws: Workspace):
 def _selection(f: GridFunction, ws: Workspace):
     return _shared("sparse_select_for_operator", (f,), (ws.family,),
                    lambda: sparse_select_for_operator(f, ws.family, 0))
+
+
+def _sparse_integral(f: GridFunction, alpha: float, ws: Workspace):
+    return _shared("sparse_fractional_integral", (f,), (alpha, ws.family),
+                   lambda: sparse_fractional_integral(f, alpha, ws.family,
+                                                      _selection(f, ws).cubes))
 
 
 def _bmo(b: GridFunction, ws: Workspace) -> float:
@@ -522,8 +529,7 @@ def verify_strong_pq(case: TestCase) -> list[VerificationReport]:
     input_norm = lebesgue_product_norm(f, w.base, e.p)
     rhs = char ** e.strong_power * input_norm
     out_d = _integral(f, e.alpha, ws)
-    sparse = _selection(f, ws)
-    out_s = sparse_fractional_integral(f, e.alpha, ws.family, sparse.cubes)
+    out_s = _sparse_integral(f, e.alpha, ws)
     reports = []
     for suffix, out in ((":dyadic", out_d), (":sparse", out_s)):
         lhs = lebesgue_product_norm(out.values, w.base, e.q)
@@ -863,12 +869,14 @@ def stability_pair(
     return a.max_measured, b.max_measured
 
 
-def sweep_slope(result: BatteryResult) -> tuple[float, list[tuple[float, float]]]:
+def sweep_slope(result: BatteryResult) -> tuple[float | None, list[tuple[float, float]]]:
     """Fit log(normalized lhs envelope) against log characteristic.
 
     For each power-weight gamma the envelope takes the largest normalized
     left side over the function battery; the slope says how fast the
-    inequality's left side actually grows in the characteristic.
+    inequality's left side actually grows in the characteristic.  It is
+    None, not a number, when fewer than two gammas give points at distinct
+    characteristics: no line can be fitted.
     """
     power = THEOREM_TABLE[result.theorem].power
     buckets: dict[float, tuple[float, float]] = {}
@@ -884,11 +892,11 @@ def sweep_slope(result: BatteryResult) -> tuple[float, list[tuple[float, float]]
             buckets[r.gamma] = (r.characteristic, norm)
     points = sorted((math.log(c), math.log(v)) for c, v in buckets.values())
     if len(points) < 2:
-        return 0.0, points
+        return None, points
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     if np.ptp(xs) < 1e-9:
-        return 0.0, points
+        return None, points
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope, points
 
@@ -941,8 +949,9 @@ def write_reports_json(reports: list[VerificationReport], path) -> None:
         fh.write("\n")
 
 
-def write_sweep_csv(result: BatteryResult, path) -> float:
-    """Plot data for the gamma sweep: one (log char, log lhs) row per gamma."""
+def write_sweep_csv(result: BatteryResult, path) -> float | None:
+    """Plot data for the gamma sweep: one (log char, log lhs) row per gamma.
+    Returns the fitted slope (see sweep_slope)."""
     slope, points = sweep_slope(result)
     with open(path, "w") as fh:
         fh.write("log_characteristic,log_normalized_lhs\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cell_centers, range_coords
-from .orlicz import YoungFunction, luxemburg_norm_blocks
+from .orlicz import YoungFunction, checked_blocks, luxemburg_norm_blocks
 
 __all__ = [
     "ExponentTriple",
@@ -268,10 +268,10 @@ def reverse_holder_exponent(sigma: GridFunction, battery: CubeBattery) -> float:
     The power means (avg sigma^s)^(1/s) are the Luxemburg gauges of the
     power kind t^s over the battery's overlap rows, a closed form that
     rescales the rows whose s-sum leaves the float range.  Found by
-    bisection to within 1e-6; returns RH_CAP when the inequality still
-    holds there, and 1.0 when it already fails just above 1.
+    bisection to within 1e-6 on rows checked once; returns RH_CAP when the
+    inequality still holds there, and 1.0 when it already fails just above 1.
     """
-    rows = [(vals, frac) for _, vals, frac in battery.overlap_rows(sigma)]
+    rows = checked_blocks((vals, frac) for _, vals, frac in battery.overlap_rows(sigma))
     bound = 2.0 * battery.averages(sigma)
 
     def holds(s: float) -> bool:

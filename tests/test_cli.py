@@ -143,7 +143,7 @@ class TestVerify:
         }
         shared = meta["shared_results"]
         assert set(shared) == {"dyadic_fractional_integral", "sparse_select_for_operator",
-                               "workspace", "weight", "function",
+                               "sparse_fractional_integral", "workspace", "weight", "function",
                                "a1q_characteristic", "apq_characteristic"}
         assert all(c["computed"] > 0 for c in shared.values())
         assert meta["verify"]["theorems"] == ["strong_pq", "weak_1q"]
@@ -321,6 +321,19 @@ class TestSweep:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["provenance"]["sparsefrac"] == sparsefrac.__version__
         assert meta["shared_results"]["dyadic_fractional_integral"]["computed"] > 0
+
+    def test_one_gamma_has_no_slope(self, runner, tmp_path):
+        # one power-weight gamma gives one point: no line, and no 0.0000 as
+        # if one had been fitted
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("sweep:\n  theorems: [strong_pq]\n  gammas: 3",
+                                                 "sweep:\n  theorems: [strong_pq]\n  gammas: 1"))
+        result = runner.invoke(main, ["sweep", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "strong_pq: slope undefined (fewer than two gammas) (stated exponent" in result.output
+        assert "slope 0" not in result.output
+        lines = (out / "sweep_strong_pq.csv").read_text().splitlines()
+        assert lines[0] == "log_characteristic,log_normalized_lhs" and len(lines) == 2
 
 
 class TestReportRoundTrip:

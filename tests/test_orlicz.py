@@ -304,7 +304,24 @@ class TestBatchedGauge:
         monkeypatch.setattr(orlicz, "_NEWTON_CAP", 8)
         got = luxemburg_norm_blocks(blocks, phi)
         assert np.array_equal(got, np.concatenate([bisect_blocks(v, m, phi) for v, m in blocks]))
-        assert sum(tested) < 2 * len(got)
+        assert 0 < sum(tested) < 2 * len(got)  # the hook saw the in-band tests
+
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    def test_max_sets_up_once(self, phi, monkeypatch):
+        # the held blocks reach the bisection with the rows and root bands
+        # the block filter made: one check and one Newton solve per call
+        blocks = [gauge_block(width, seed, ["plain", "wide", "floor", "massless"], phi)
+                  for width, seed in ((7, 11), (3, 12), (16, 13), (1, 14))]
+        want = luxemburg_norm_blocks(blocks, phi).max(initial=0.0)
+        calls = []
+        for name in ("checked_blocks", "_locate_roots"):
+            def counted(*args, _inner=getattr(orlicz, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(orlicz, name, counted)
+        got = luxemburg_norm_max(blocks, phi)
+        assert sorted(calls) == ["_locate_roots", "checked_blocks"]
+        assert type(got) is float and got == want > 0.0
 
     def test_power_kind_past_float_range(self):
         # 1e302^2.5 overflows although the p-average is finite, and a huge

@@ -607,6 +607,14 @@ class TestRunScope:
         verify_case(case)
         verify_case(case)
         assert calls == {"materialize_function": 9, "materialize_bump": 4}
+        # 15 strong_pq cases on the six distinct functions above: one sparse
+        # integral (on one selection) per function
+        with verify.run_scope() as scope:
+            run_battery("strong_pq", E_THIRD, depth=6, battery_depth=4, gammas=2)
+        assert (scope.computed["sparse_fractional_integral"],
+                scope.reused["sparse_fractional_integral"]) == (6, 9)
+        assert (scope.computed["sparse_select_for_operator"],
+                scope.reused["sparse_select_for_operator"]) == (6, 0)
 
     def test_workspaces_and_weights_live_as_long_as_the_scope(self):
         root, spec = verify.DEFAULT_ROOT_1D, WeightSpec("power", 0.2)

@@ -376,6 +376,30 @@ class TestReverseHolder:
         assert implied == [] or max(implied) < 10.0
 
 
+class TestReverseHolderChecksOnce:
+    def test_rows_checked_once(self, bat6, root1, monkeypatch):
+        # the bisection gauges the overlap rows at about 25 exponents but
+        # checks and normalizes them once, and lands where checking them
+        # at every step does
+        from sparsefrac import orlicz
+
+        sigma = power_weight(root1, 10, -0.5, "center").base
+        checks = []
+        inner = orlicz.checked_blocks
+
+        def counted(blocks):
+            checks.append(None)
+            return inner(blocks)
+
+        monkeypatch.setattr(orlicz, "checked_blocks", counted)  # the gauge's own check
+        monkeypatch.setattr(weights, "checked_blocks", counted)
+        s = reverse_holder_exponent(sigma, bat6)
+        assert len(checks) == 1 and 1.0 < s < RH_CAP
+        monkeypatch.setattr(weights, "checked_blocks", list)  # every step checks again
+        assert reverse_holder_exponent(sigma, bat6) == s
+        assert len(checks) > 20
+
+
 class TestSubsetBounds:
     def _setup(self, root1):
         fam = DyadicGridFamily(root1, 8)
