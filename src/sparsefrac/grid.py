@@ -5,10 +5,10 @@ grid family holds the 2^n one-third-shifted dyadic grids; a cube is
 addressed by (grid_id, level, integer coords) and its corners are exact
 rationals with denominator 3 * 2^level, so nesting and disjointness tests
 are pure integer arithmetic.  Mesh functions are arrays of cell values at
-depth K with a cumulative table (built on first use), giving O(1) box
-integrals that are exact for boxes cutting through cells (the shifted
-grids are not mesh aligned, so partial-cell overlap is the common case,
-not the exception).
+depth K with a long-double cumulative table (built on first use), giving
+O(1) box integrals within a few long-double ulps of the box's mass, also
+for boxes cutting through cells (the shifted grids are not mesh aligned,
+so partial-cell overlap is the common case, not the exception).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _MAX_DEPTH = {1: 12, 2: 8}
+_BOX_CHUNK = 1 << 11  # boxes per box_integrals pass: under 1 MB of temporaries
 
 
 def _cell_units(x, origin, h: float, m: int):
@@ -267,11 +268,16 @@ class DyadicGridFamily:
         return (base[:, None, :] + offsets).reshape(-1, self.n)
 
     def parent(self, cube: DyadicCube) -> DyadicCube:
-        if cube.level == 0:
+        (m,) = self.parent_coords(cube.grid_id, cube.level, [cube.coords]).tolist()
+        return DyadicCube(cube.grid_id, cube.level - 1, tuple(m))
+
+    def parent_coords(self, grid_id: int, level: int, coords) -> np.ndarray:
+        """Coordinates (N, n) of the parents of the level cubes at coords
+        (N, n): (m - e) >> 1 with e the shift signs of level - 1."""
+        if level == 0:
             raise ValueError("level-0 cube has no parent in the materialized grid")
-        e = self._shift_signs(cube.grid_id, cube.level - 1)
-        m = tuple((mi - ei) >> 1 for mi, ei in zip(cube.coords, e))
-        return DyadicCube(cube.grid_id, cube.level - 1, m)
+        m = np.asarray(coords, dtype=np.int64).reshape(-1, self.n)
+        return (m - self._shift_signs(grid_id, level - 1)) >> 1
 
     def coord_range(self, grid_id: int, level: int) -> tuple[tuple[int, int], ...]:
         """Per-dimension [m_min, m_max] of cubes intersecting the ambient box."""
@@ -417,8 +423,9 @@ class GridFunction:
     Cell values are stored in C order, cells[i] spanning
     [o + i*h, o + (i+1)*h) per axis with h = side * 2^-depth.  The function
     is extended by zero outside the root box.  A cumulative table in
-    extended precision, built on the first box integral, makes box
-    integrals exact up to a few ulps even when the query box cuts cells.
+    long double, built on the first box integral, gives box integrals
+    within a few long-double ulps of the box's mass, also when the query
+    box cuts cells.
     """
 
     def __init__(self, root: RootBox, cells: np.ndarray):
@@ -507,54 +514,53 @@ class GridFunction:
     def max_cell(self) -> float:
         return float(self.cells.max())
 
-    # -- exact box integration ---------------------------------------------
-
-    def _prefix(self, *coords):
-        """Fractional cumulative sum at coordinates given in cell units."""
-        m = 2 ** self.depth
-        idx, frac = [], []
-        for x in coords:
-            x = np.clip(x, 0.0, float(m))
-            i = np.clip(np.floor(x).astype(np.int64), 0, m - 1)
-            idx.append(i)
-            frac.append(x - i)
-        c = self._cum
-        if self.n == 1:
-            (i,), (fx,) = idx, frac
-            return c[i] + fx * self.cells[i]
-        (i, j), (fx, fy) = idx, frac
-        base = c[i, j]
-        return (
-            base
-            + fx * (c[i + 1, j] - base)
-            + fy * (c[i, j + 1] - base)
-            + fx * fy * self.cells[i, j]
-        )
+    # -- box integration ---------------------------------------------------
 
     def box_integrals(self, lo, hi) -> np.ndarray:
-        """Exact integrals over half-open boxes; lo, hi have shape (..., n).
+        """Integrals over half-open boxes; lo, hi have shape (..., n).
 
         The function is extended by zero outside the root box, so queries
-        may extend past it.  Partial-cell overlap is handled exactly for
-        the stored piecewise-constant data.
+        may extend past it.  Each corner coordinate is split once into a
+        cell index and an in-cell fraction, and the 2^n corners' fractional
+        prefix sums of the long-double table are differenced.  So the
+        result is within a few long-double ulps of the box's mass, not
+        exact: a 2-d box missing the root box in one axis gives about
+        eps_ld times the mass, not 0.  Boxes go through in chunks of
+        _BOX_CHUNK, which bounds the temporaries.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        h = self.cell_side
-        u = (lo - self.root.lo) / h
-        v = (hi - self.root.lo) / h
-        if self.n == 1:
-            out = self._prefix(v[..., 0]) - self._prefix(u[..., 0])
-        else:
-            u0, u1 = u[..., 0], u[..., 1]
-            v0, v1 = v[..., 0], v[..., 1]
-            out = (
-                self._prefix(v0, v1)
-                - self._prefix(u0, v1)
-                - self._prefix(v0, u1)
-                + self._prefix(u0, u1)
-            )
-        return np.asarray(out * np.longdouble(self.cell_volume), dtype=float)
+        if lo.shape != hi.shape:
+            lo, hi = np.broadcast_arrays(lo, hi)
+        corners = np.stack((lo, hi)).reshape(2, -1, self.n)
+        out = np.empty(corners.shape[1])
+        m, c, cells = len(self.cells), self._cum, self.cells
+        for s in range(0, len(out), _BOX_CHUNK):
+            # clamped to the mesh by ufuncs, which cost less than np.clip's
+            # wrapper; unlike np.clip they turn -0.0 into 0.0, but index 0
+            # reads the table's zero padding, where a zero fraction's sign is lost
+            x = (corners[:, s:s + _BOX_CHUNK] - self.root.lo) / self.cell_side
+            frac = np.minimum(np.maximum(x, 0.0), m)
+            i = np.minimum(np.maximum(frac.astype(np.int64), 0), m - 1)  # floor, 0 for NaN
+            frac -= i
+            if self.n == 1:
+                i, fx = i[..., 0], frac[..., 0]
+                p = c[i] + fx * cells[i]  # p[0] at lo, p[1] at hi
+                p = p[1] - p[0]
+            else:
+                # p[a, b]: axis 0 at lo (a = 0) or hi (a = 1), axis 1 likewise by b
+                i, j = i[:, None, :, 0], i[None, :, :, 1]
+                fx, fy = frac[:, None, :, 0], frac[None, :, :, 1]
+                base = c[i, j]
+                p = (
+                    base
+                    + fx * (c[i + 1, j] - base)
+                    + fy * (c[i, j + 1] - base)
+                    + fx * fy * cells[i, j]
+                )
+                p = p[1, 1] - p[0, 1] - p[1, 0] + p[0, 0]
+            out[s:s + _BOX_CHUNK] = p * np.longdouble(self.cell_volume)
+        return out.reshape(lo.shape[:-1])
 
     def box_integral(self, lo, hi) -> float:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))

@@ -265,6 +265,13 @@ def _live_bands(rows, phi: YoungFunction):
     return lives, rows, count, bottom, top
 
 
+def _unchecked_steps(rtol: float) -> int:
+    """Bisection steps before any row can meet rtol: a bracket starts at
+    relative width 1/2 or more and at most halves per step (a factor 8
+    spare for rounding)."""
+    return max(math.floor(-math.log2(min(rtol, 1.0))) - 3, 0)
+
+
 def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
     """Luxemburg gauge of sampled |values| against normalized masses for
@@ -315,10 +322,10 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
         # them; a lam at an end of its row's (lo, hi) bracket repeats that
         # end's outcome (lo failed, hi passed)
         ok = lam > top
-        near = ~(ok | (lam < bottom))
-        if not near.any():
+        decided = ok | (lam < bottom)
+        if decided.all():
             return ok
-        near = np.flatnonzero(near)
+        near = np.flatnonzero(~decided)
         if bracket is not None:
             at, lo_n, hi_n = lam[near], bracket[0][near], bracket[1][near]
             ok[near[at == hi_n]] = True
@@ -347,13 +354,17 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
             down = down[lo[down] >= 1e-300]
             down = down[test(lo[down], down, bottom[down], top[down])]
         dead = lo < 1e-300  # lower bracket under 1e-300: gauge 0
-        # bisect; a block stops once every one of its live rows meets rtol
+        # bisect; a block stops once every one of its live rows meets rtol,
+        # which no row does in the first _unchecked_steps(rtol) steps
         w = np.flatnonzero(~dead)
         lo_w, hi_w, bottom_w, top_w = lo[w], hi[w], bottom[w], top[w]
         starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
+        unchecked = _unchecked_steps(rtol)
         while w.size:
-            wide = hi_w - lo_w > rtol * hi_w
-            if not wide.all() and not (still := np.logical_or.reduceat(wide, starts)).all():
+            if unchecked:
+                unchecked -= 1
+            elif (not (wide := hi_w - lo_w > rtol * hi_w).all()
+                  and not (still := np.logical_or.reduceat(wide, starts)).all()):
                 keep = np.repeat(still, np.diff(starts, append=w.size))
                 hi[w[~keep]] = hi_w[~keep]
                 w, lo_w, hi_w, bottom_w, top_w = (

@@ -11,10 +11,10 @@ principal-cube construction (Lacey, Moen, Perez and Torres) seeded at the
 level-0 cubes: a cube is selected when its average exceeds a = 2^(n+1)
 times the average of its nearest selected ancestor, which forces the
 half-density condition by construction for every cube including the
-seeds.  Certification finds each cube's nearest selected ancestor by
-walking parent pointers, so it never compares cubes pairwise, and keeps
-the carriers as one owner label per cell (-1: no carrier), made per level
-on the level_blocks rows; carrier masks are made from them on demand.
+seeds.  Certification finds each cube's nearest selected ancestor in one
+sweep up the levels, so it never compares cubes pairwise, and keeps the
+carriers as one owner label per cell (-1: no carrier), made per level on
+the level_blocks rows; carrier masks are made from them on demand.
 """
 
 from __future__ import annotations
@@ -216,37 +216,59 @@ def sparse_select_for_operator(
     return SparseFamily(grid_id, selected)
 
 
+def _nearest_selected(family: DyadicGridFamily, grid_id: int, levels) -> np.ndarray:
+    """Index in the concatenation of levels (cubes_by_level of a sorted
+    family) of each cube's nearest selected strict ancestor, -1 for none:
+    one sweep up the levels, where the cubes still looking move to their
+    parents (parent_coords) and find them by one sorted-key search in that
+    level's cubes (the keys m0 * 2^32 + m1 keep the sorted order)."""
+    sizes = [len(m) for m in levels.values()]
+    first = dict(zip((k for _, k in levels), np.cumsum([0] + sizes).tolist()))
+    coords = dict(zip(first, levels.values()))
+    if family.n == 2 and any(((m <= -2 ** 31) | (m >= 2 ** 31)).any() for m in coords.values()):
+        raise ValueError("2-d cube coordinates must lie within (-2^31, 2^31)")
+    key = (lambda m: m[:, 0]) if family.n == 1 else (lambda m: (m[:, 0] << 32) + m[:, 1])
+    nearest = np.full(sum(sizes), -1, dtype=np.int64)
+    looking, at = np.zeros(0, dtype=np.int64), np.zeros((0, family.n), dtype=np.int64)
+    for k in range(max(coords, default=0), 0, -1):
+        if k in coords:
+            looking = np.append(looking, first[k] + np.arange(len(coords[k])))
+            at = np.concatenate([at, coords[k]])
+        at = family.parent_coords(grid_id, k, at)
+        if k - 1 in coords:
+            keys, want = key(coords[k - 1]), key(at)
+            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            hit = keys[pos] == want
+            nearest[looking[hit]] = first[k - 1] + pos[hit]
+            looking, at = looking[~hit], at[~hit]
+    return nearest
+
+
 def certify_sparse(
     sparse: SparseFamily, family: DyadicGridFamily, depth: int
 ) -> SparseCertificate:
     """Check carrier disjointness and the half-density condition.
 
-    Each cube's nearest selected strict ancestor is found by walking parent
-    pointers (O(N K)); the maximal selected strict descendants of q are the
-    cubes whose nearest selected ancestor is q.  The carriers are owner
-    labels (see Carriers): each cell takes the index of the deepest selected
-    cube holding its centre, or -1, written coarse to fine with one
-    LevelBlocks.spread per level in O(cells) memory.  Disjointness is the
-    check that every cell a cube takes over was held by the cube's nearest
-    selected ancestor.  Densities are geometric: the measure removed from a
-    cube is the total volume of its maximal selected strict descendants,
-    summed in cube order, which is exact for every grid, including shifted
-    cubes that extend past the root box where no cells live.
+    Each cube's nearest selected strict ancestor comes from one level
+    sweep over the coordinates (_nearest_selected); the maximal selected
+    strict descendants of q are the cubes whose nearest selected ancestor
+    is q.  The carriers are owner labels (see Carriers): each cell takes
+    the index of the deepest selected cube holding its centre, or -1,
+    written coarse to fine with one LevelBlocks.spread per level in
+    O(cells) memory.  Disjointness is the check that every cell a cube
+    takes over was held by the cube's nearest selected ancestor: the mesh
+    labels against the coordinate sweep.  Densities are geometric: the
+    measure removed from a cube is the total volume of its maximal
+    selected strict descendants, summed in cube order, which is exact for
+    every grid, including shifted cubes that extend past the root box
+    where no cells live.
     """
     cubes = sparse.cubes
-    index = {c: i for i, c in enumerate(cubes)}
-    nearest = np.full(len(cubes), -1, dtype=np.int64)
-    maximal = [[] for _ in cubes]  # per cube, its maximal selected strict descendants
-    for j, c in enumerate(cubes):
-        while c.level > 0:
-            c = family.parent(c)
-            if c in index:
-                nearest[j] = index[c]
-                maximal[index[c]].append(j)
-                break
+    levels = cubes_by_level(cubes)
+    nearest = _nearest_selected(family, sparse.grid_id, levels)
     labels = np.full((2 ** depth,) * family.n, -1, dtype=np.int64)
     disjoint, first = True, 0
-    for (g, k), coords in cubes_by_level(cubes).items():
+    for (g, k), coords in levels.items():
         blocks = family.level_blocks(g, k, depth)
         rows, inside = blocks.locate(coords)
         owner = np.full(math.prod(blocks.shape), -1, dtype=np.int64)
@@ -256,9 +278,13 @@ def certify_sparse(
         disjoint &= bool(np.array_equal(labels[held], nearest[owner[held]]))
         labels[held] = owner[held]
         first += len(coords)
-    density = [1.0 - sum(family.volume_at(cubes[j].level) for j in maximal[i])
-               / family.volume_at(q.level) for i, q in enumerate(cubes)]
-    min_density = min(density, default=math.inf)
+    volume = np.repeat([family.volume_at(k) for _, k in levels],
+                       [len(coords) for coords in levels.values()])
+    # bincount adds each cube's volume to its ancestor's sum in cube order
+    # (bin 0 collects the cubes without one)
+    removed = np.bincount(nearest + 1, weights=volume, minlength=len(cubes) + 1)[1:]
+    density = 1.0 - removed / volume
+    min_density = float(density.min(initial=math.inf))
     first_violation = next((q for q, d in zip(cubes, density) if d < 0.5), None)
     ok = disjoint and first_violation is None
     return SparseCertificate(ok, min_density, disjoint, first_violation, Carriers(cubes, labels))

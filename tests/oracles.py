@@ -11,7 +11,10 @@ sparse ones bit for bit; dyadic_commutator_blocks, the commutator's
 former per-(b, f) block form on the library's level gather, which the
 planned commutator must reproduce bit for bit; and
 power_cell_average_2d_recursive, the former recursive power-weight
-quadrature, which the level-batched one must reproduce bit for bit.
+quadrature, which the level-batched one must reproduce bit for bit;
+box_integrals_replay, the former per-corner box integral, and
+nearest_ancestors_walk, the former parent walk of certify_sparse, which
+box_integrals and the certificate's level sweep must reproduce exactly.
 The per-cube exact geometry the level sweeps replaced (containing_cube,
 smallest_covering_cube, cubes_inside_root) and box_average live here too.
 """
@@ -134,6 +137,45 @@ def naive_box_integral(f: GridFunction, lo, hi) -> float:
     return total
 
 
+def box_integrals_replay(f: GridFunction, lo, hi) -> np.ndarray:
+    """The library's former per-corner GridFunction.box_integrals: each
+    prefix sum clips and splits its own coordinates, so a 2-d box splits
+    each coordinate twice.  box_integrals, which splits each once, must
+    reproduce it bit for bit; it goes with the long-double table
+    (ROADMAP item 2)."""
+    m = 2 ** f.depth
+    c = f._cum
+
+    def prefix(*coords):
+        idx, frac = [], []
+        for x in coords:
+            x = np.clip(x, 0.0, float(m))
+            i = np.clip(np.floor(x).astype(np.int64), 0, m - 1)
+            idx.append(i)
+            frac.append(x - i)
+        if f.n == 1:
+            (i,), (fx,) = idx, frac
+            return c[i] + fx * f.cells[i]
+        (i, j), (fx, fy) = idx, frac
+        base = c[i, j]
+        return (
+            base
+            + fx * (c[i + 1, j] - base)
+            + fy * (c[i, j + 1] - base)
+            + fx * fy * f.cells[i, j]
+        )
+
+    u = (np.asarray(lo, dtype=float) - f.root.lo) / f.cell_side
+    v = (np.asarray(hi, dtype=float) - f.root.lo) / f.cell_side
+    if f.n == 1:
+        out = prefix(v[..., 0]) - prefix(u[..., 0])
+    else:
+        u0, u1 = u[..., 0], u[..., 1]
+        v0, v1 = v[..., 0], v[..., 1]
+        out = prefix(v0, v1) - prefix(u0, v1) - prefix(v0, u1) + prefix(u0, u1)
+    return np.asarray(out * np.longdouble(f.cell_volume), dtype=float)
+
+
 def naive_cube_average(f: GridFunction, family: DyadicGridFamily, cube) -> float:
     lo, hi = family.cube_bounds(cube)
     return naive_box_integral(f, lo, hi) / family.volume_at(cube.level)
@@ -149,7 +191,7 @@ def cells_in_cube(family: DyadicGridFamily, cube: DyadicCube, depth: int):
     for d in range(family.n):
         i0 = math.ceil((lo[d] - family.root.origin[d]) / h - 0.5)
         i1 = math.ceil((hi[d] - family.root.origin[d]) / h - 0.5)
-        out.append((max(i0, 0), min(i1, m)))
+        out.append((min(max(i0, 0), m), min(max(i1, 0), m)))  # empty off the mesh
     return tuple(out)
 
 
@@ -721,6 +763,21 @@ def naive_certify(
     disjoint = bool(np.all(count <= 1))
     ok = disjoint and first_violation is None
     return SparseCertificate(ok, min_density, disjoint, first_violation, carriers)
+
+
+def nearest_ancestors_walk(sparse: SparseFamily, family: DyadicGridFamily) -> np.ndarray:
+    """The library's former ancestor search in certify_sparse: per cube,
+    walk parent() one DyadicCube at a time until a selected cube (its index
+    in sparse.cubes) or level 0 (-1)."""
+    index = {c: i for i, c in enumerate(sparse.cubes)}
+    nearest = np.full(len(sparse.cubes), -1, dtype=np.int64)
+    for j, c in enumerate(sparse.cubes):
+        while c.level > 0:
+            c = family.parent(c)
+            if c in index:
+                nearest[j] = index[c]
+                break
+    return nearest
 
 
 def percube_sparse_integral(f, alpha, family, cubes):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsefrac.grid import (
+    _BOX_CHUNK,
     DyadicCube,
     DyadicGridFamily,
     GridFunction,
@@ -16,6 +19,7 @@ from sparsefrac.grid import (
 
 from .oracles import (
     box_average,
+    box_integrals_replay,
     cells_in_cube,
     containing_cube,
     cubes_inside_root,
@@ -269,6 +273,50 @@ class TestBoxIntegral:
         rng = np.random.default_rng(4)
         f = GridFunction(root2, rng.uniform(0, 1, (16, 16)))
         assert f.integral() == pytest.approx(f.cells.sum() * f.cell_volume, rel=1e-13)
+
+
+# corner coordinates: thirds of the dyadic steps (the shifted grids' corners),
+# mesh points, points outside the root box on either side, -0.0 and plain floats
+COORD = st.one_of(
+    st.integers(-144, 240).map(lambda j: j / 96),
+    st.sampled_from([-0.0, 0.0, 1.0, 1 / 3, 2 / 3, 4 / 3, -1 / 3, -1.0, 2.0]),
+    st.floats(-1.5, 2.5),
+)
+
+
+class TestBoxIntegralsReplay:
+    """box_integrals against the former per-corner kernel, byte for byte."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2]), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([((0.0, 0.0), 1.0), ((-0.5, 0.25), 3.0), ((1 / 3, -2.0), 0.1)]),
+           st.lists(st.tuples(COORD, COORD, COORD, COORD), min_size=1, max_size=8))
+    @example(2, 5, 0, ((0.0, 0.0), 1.0), [(1 / 3, 1.0, 4 / 3, 2.0)])  # misses the root in y
+    @example(1, 3, 1, ((0.0, 0.0), 1.0), [(-0.0, 0.0, 0.5, 0.0), (-1.0, 0.0, -0.0, 0.0)])
+    @example(2, 2, 2, ((0.0, 0.0), 1.0), [(-0.0, -0.0, -0.0, -0.0), (-0.0, 0.5, 1.0, -0.0)])
+    def test_equals_per_corner_replay(self, dim, depth, seed, root, boxes):
+        rng = np.random.default_rng(seed)
+        cells = rng.normal(0.0, 1.0, (2 ** depth,) * dim)
+        cells[rng.random(cells.shape) < 0.25] = 0.0
+        cells[rng.random(cells.shape) < 0.25] = -0.0
+        f = GridFunction(RootBox(root[0][:dim], root[1]), cells)
+        corners = np.array(boxes).reshape(-1, 2, 2)[:, :, :dim]  # (boxes, lo/hi, axis)
+        lo, hi = corners[:, 0], corners[:, 1]
+        got = f.box_integrals(lo, hi)
+        assert got.tobytes() == box_integrals_replay(f, lo, hi).tobytes()
+        for r in range(len(lo)):
+            assert f.box_integrals(lo[r], hi[r]).tobytes() == got[r].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batches_past_one_chunk(self, root1, root2, dim):
+        # a (3, chunk + 5) batch runs in several chunks: the replay's bits and shape
+        rng = np.random.default_rng(7)
+        f = GridFunction(root1 if dim == 1 else root2, rng.normal(size=(2 ** 4,) * dim))
+        lo = rng.choice(np.arange(-48, 96) / 48, size=(3, _BOX_CHUNK + 5, dim))
+        hi = lo + rng.uniform(0.0, 1.0, lo.shape)
+        got = f.box_integrals(lo, hi)
+        assert got.shape == (3, _BOX_CHUNK + 5)
+        assert got.tobytes() == box_integrals_replay(f, lo, hi).tobytes()
 
 
 class TestCubeAverage:

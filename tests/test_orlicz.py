@@ -306,6 +306,17 @@ class TestBatchedGauge:
         assert np.array_equal(got, np.concatenate([bisect_blocks(v, m, phi) for v, m in blocks]))
         assert 0 < sum(tested) < 2 * len(got)  # the hook saw the in-band tests
 
+    @pytest.mark.parametrize("rtol,skipped", [(1e-13, 40), (1e-10, 30), (1e-6, 16), (0.3, 0)])
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    def test_skipped_stop_checks_keep_the_bits(self, phi, rtol, skipped):
+        # no row meets rtol before the first checked step, so skipping the
+        # earlier stop checks leaves every value as the oracle bisects it
+        assert orlicz._unchecked_steps(rtol) == skipped
+        blocks = [gauge_block(width, seed, ["plain", "wide", "floor", "massless", "guard"], phi)
+                  for width, seed in ((7, 21), (1, 22), (16, 23), (64, 24))]
+        want = np.concatenate([bisect_blocks(v, m, phi, rtol) for v, m in blocks])
+        assert np.array_equal(luxemburg_norm_blocks(blocks, phi, rtol), want)
+
     @pytest.mark.parametrize("phi", [LLOG, EXPM1])
     def test_max_sets_up_once(self, phi, monkeypatch):
         # the held blocks reach the bisection with the rows and root bands

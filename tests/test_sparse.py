@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
+from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox, cubes_by_level
 from sparsefrac.operators import dyadic_fractional_integral, sparse_fractional_integral
 from sparsefrac.sparse import (
     SparseFamily,
+    _nearest_selected,
     certify_sparse,
     cz_stopping_cubes,
     sparse_family_from_json,
@@ -23,6 +24,7 @@ from .oracles import (
     naive_certify,
     naive_cz_stopping,
     naive_sparse_select,
+    nearest_ancestors_walk,
     percube_sparse_integral,
 )
 
@@ -168,15 +170,46 @@ class TestCertification:
         assert np.all(total <= 1)
 
     def test_tree_and_mesh_disagreeing_is_not_disjoint(self, root1, monkeypatch):
-        # parent pointers that skip level 1 make the level-0 cube the nearest
-        # selected ancestor of the level-2 cube, whose cells the level-1 cube
-        # holds: they would sit in two carriers
+        # parent coordinates that send the level-2 cube off the chain at
+        # level 1 (and every level-1 cube to cube 0) make the level-0 cube
+        # the nearest selected ancestor of the level-2 cube, whose cells the
+        # level-1 cube holds: they would sit in two carriers
         fam = DyadicGridFamily(root1, 4)
         chain = SparseFamily(0, [DyadicCube(0, k, (0,)) for k in range(3)])
         assert certify_sparse(chain, fam, 4).disjoint
-        monkeypatch.setattr(fam, "parent", lambda c: DyadicCube(0, 0, (0,)))
+        monkeypatch.setattr(fam, "parent_coords",
+                            lambda g, k, m: np.full((len(m), 1), int(k == 2)))
         cert = certify_sparse(chain, fam, 4)
         assert not cert.disjoint and not cert.ok
+
+    @pytest.mark.parametrize("dim,depth,size", [(1, 5, 40), (2, 3, 30)])
+    def test_level_sweep_equals_parent_walk(self, root1, root2, dim, depth, size):
+        # random families of every grid, cubes outside the root box
+        # included: the nearest ancestors are the parent walk's, and the
+        # certificate (min_density bit for bit) the pairwise oracle's
+        fam = DyadicGridFamily(root1 if dim == 1 else root2, depth)
+        for g in range(fam.num_grids):
+            pool = list(fam.enumerate_cubes(g, range(depth + 1)))
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                cubes = [pool[i] for i in rng.choice(len(pool), size=size, replace=False)]
+                for c in cubes[: size // 2]:  # with some of their ancestors
+                    while c.level:
+                        c = fam.parent(c)
+                        if rng.random() < 0.3:
+                            cubes.append(c)
+                sparse = SparseFamily(g, cubes)
+                nearest = _nearest_selected(fam, g, cubes_by_level(sparse.cubes))
+                assert np.array_equal(nearest, nearest_ancestors_walk(sparse, fam))
+                assert (nearest >= 0).sum() >= size // 4
+                assert_same_certificate(certify_sparse(sparse, fam, depth),
+                                        naive_certify(sparse, fam, depth))
+
+    def test_2d_coordinates_past_the_sorted_keys_rejected(self, root2):
+        fam = DyadicGridFamily(root2, 3)
+        far = SparseFamily(0, [DyadicCube(0, 1, (2 ** 31, 0)), DyadicCube(0, 0, (0, 0))])
+        with pytest.raises(ValueError):
+            certify_sparse(far, fam, 3)
 
     def test_mixed_grids_rejected(self):
         with pytest.raises(ValueError):
