@@ -8,7 +8,6 @@ failing case is printed), 2 on configuration errors.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +29,7 @@ from .verify import (
     run_battery,
     run_scope,
     workspace,
+    write_json,
     write_reports_csv,
     write_reports_json,
     write_sweep_csv,
@@ -110,12 +110,15 @@ def _command(fn):
     return main.command()(command)
 
 
+def _center(x0):
+    """A config x0 as a spec holds it: a name, or a tuple of float coordinates."""
+    return tuple(float(v) for v in x0) if isinstance(x0, list) else x0
+
+
 def _weight(s: _Setup) -> Weight:
     wc = s.cfg["weight"]
-    x0 = wc["x0"]
-    if isinstance(x0, list):
-        x0 = tuple(float(v) for v in x0)
-    spec = WeightSpec(wc["kind"], float(wc["gamma"]), x0, float(wc["low"]), float(wc["high"]))
+    spec = WeightSpec(wc["kind"], float(wc["gamma"]), _center(wc["x0"]), float(wc["low"]),
+                      float(wc["high"]))
     try:  # the library's own checks of the weight, such as its integrability
         return materialize_weight(spec, s.root, s.depth)
     except ValueError as exc:
@@ -146,9 +149,7 @@ def _write_meta(s: _Setup, scope=None) -> None:
         doc["shared_results"] = {kind: {"computed": n, "reused": scope.reused[kind]}
                                  for kind, n in sorted(scope.computed.items())}
     s.out.mkdir(parents=True, exist_ok=True)
-    with open(s.out / "run_meta.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(doc, s.out / "run_meta.json")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "SPARSEFRAC"})
@@ -178,9 +179,7 @@ def char(s: _Setup):
     for name, value in rows.items():
         click.echo(f"{name} {value:.17g}")
     if s.cfg["run"]["format"] == "json":
-        with open(s.out / "characteristics.json", "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(rows, s.out / "characteristics.json")
     else:
         with open(s.out / "characteristics.csv", "w") as fh:
             fh.write("name,value\n")
@@ -196,7 +195,8 @@ def op(s: _Setup):
         _fail_config("missing required key 'op.name'")
     f, sigma = _function(s)
     bc = s.cfg["commutator"]
-    bump = functools.partial(materialize_bump, BumpSpec(bc["b"], bc["x0"]), s.root, s.depth)
+    bump = functools.partial(materialize_bump, BumpSpec(bc["b"], _center(bc["x0"])), s.root,
+                             s.depth)
     result = OPERATORS[name][1](f, sigma, s.e.alpha, YOUNG_FUNCTIONS[s.cfg["op"]["phi"]], bump,
                                 s.family, s.cfg["op"]["grid"])
     _write_meta(s)

@@ -13,7 +13,8 @@ import math
 import yaml
 
 from .operators import OPERATORS
-from .verify import BUMP_KINDS, FUNCTION_KINDS, THEOREM_TABLE, WEIGHT_KINDS, YOUNG_FUNCTIONS
+from .verify import (BUMP_KINDS, FUNCTION_KINDS, THEOREM_TABLE, WEIGHT_KINDS, YOUNG_FUNCTIONS,
+                     BumpSpec, FunctionSpec, WeightSpec)
 from .weights import CENTERS
 
 __all__ = ["ConfigError", "FORMATS", "load_config", "require"]
@@ -36,11 +37,14 @@ _KEYS: dict[str, dict[str, tuple]] = {
             "out": (str, "out")},
     "domain": {"dimension": (int, 1), "origin": (list, [0.0]), "side": (_NUMBER, 1.0)},
     "exponents": {"alpha": (_NUMBER, None), "p": (_NUMBER, None)},
-    "weight": {"kind": (str, "constant", WEIGHT_KINDS), "x0": ((str, list), "third", CENTERS),
-               "gamma": (_NUMBER, 0.0), "low": (_NUMBER, 1.0), "high": (_NUMBER, 3.0)},
-    "function": {"kind": (str, "constant", FUNCTION_KINDS), "box": (list, None),
-                 "value": (_NUMBER, 1.0)},
-    "commutator": {"b": (str, "step", BUMP_KINDS), "x0": ((str, list), "third", CENTERS)},
+    # the library's specs hold the defaults of their sections
+    "weight": {"kind": (str, WeightSpec.kind, WEIGHT_KINDS),
+               "x0": ((str, list), WeightSpec.x0, CENTERS), "gamma": (_NUMBER, WeightSpec.gamma),
+               "low": (_NUMBER, WeightSpec.low), "high": (_NUMBER, WeightSpec.high)},
+    "function": {"kind": (str, FunctionSpec.kind, FUNCTION_KINDS), "box": (list, None),
+                 "value": (_NUMBER, FunctionSpec.value)},
+    "commutator": {"b": (str, BumpSpec.kind, BUMP_KINDS),
+                   "x0": ((str, list), BumpSpec.x0, CENTERS)},
     "op": {"name": (str, None, OPERATORS), "grid": (int, 0),
            "phi": (str, "llog", YOUNG_FUNCTIONS)},
     "verify": {"theorems": (list, None, THEOREM_TABLE), "gammas": (int, 8),

@@ -40,13 +40,13 @@ _BOX_CHUNK = 1 << 11  # boxes per box_integrals pass: under 1 MB of temporaries
 
 
 def _cell_units(x, origin, h: float, m: int):
-    """Coordinates x in cell units of a mesh of m cells of side h, clipped to [0, m]."""
-    return np.clip((x - origin) / h, 0.0, m)
+    """Coordinates x in cell units of a mesh of m cells of side h, clamped to [0, m]."""
+    return np.minimum(np.maximum((x - origin) / h, 0.0), m)
 
 
 def _overlap_fractions(u, v, j):
     """Overlap of [u, v) with the cells [j, j + 1), all in cell units."""
-    return np.clip(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0, 1.0)
+    return np.minimum(np.maximum(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0), 1.0)
 
 
 def _outer(axes):
@@ -536,11 +536,7 @@ class GridFunction:
         out = np.empty(corners.shape[1])
         m, c, cells = len(self.cells), self._cum, self.cells
         for s in range(0, len(out), _BOX_CHUNK):
-            # clamped to the mesh by ufuncs, which cost less than np.clip's
-            # wrapper; unlike np.clip they turn -0.0 into 0.0, but index 0
-            # reads the table's zero padding, where a zero fraction's sign is lost
-            x = (corners[:, s:s + _BOX_CHUNK] - self.root.lo) / self.cell_side
-            frac = np.minimum(np.maximum(x, 0.0), m)
+            frac = _cell_units(corners[:, s:s + _BOX_CHUNK], self.root.lo, self.cell_side, m)
             i = np.minimum(np.maximum(frac.astype(np.int64), 0), m - 1)  # floor, 0 for NaN
             frac -= i
             if self.n == 1:

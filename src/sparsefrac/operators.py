@@ -236,7 +236,7 @@ def riesz_potential_at(f: GridFunction, alpha: float, points) -> np.ndarray:
         for j in (k - 1, k) if on_edge else (k - 1,):
             if 0 <= j < m:
                 w[j] = g[j] + g[j + 1]
-        out[i] = float(np.dot(f.cells, w))
+        out[i] = float((f.cells * w).sum())
     return out
 
 

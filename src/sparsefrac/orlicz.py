@@ -427,7 +427,7 @@ def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction, phi: YoungFunctio
         lam = math.exp(loglam)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = phi(a / lam)
-        mean = float(np.dot(np.where(m > 0, vals, 0.0), m))
+        mean = float((np.where(m > 0, vals, 0.0) * m).sum())
         return lam * (1.0 + mean)
 
     lo_l = math.log(lux) - 28.0
@@ -459,7 +459,7 @@ def generalized_holder_check(f: GridFunction, g: GridFunction, lo, hi,
     vals_f, mass = box_samples(f, lo, hi, sigma)
     vals_g, _ = box_samples(g, lo, hi, sigma)
     total = mass.sum()
-    lhs = float(np.abs(vals_f * vals_g) @ mass) / total
+    lhs = float((np.abs(vals_f * vals_g) * mass).sum()) / total
     rhs = 2.0 * luxemburg_norm_arrays(vals_f, mass, LLOG) \
         * luxemburg_norm_arrays(vals_g, mass, EXPM1)
     return lhs, rhs

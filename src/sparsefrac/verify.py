@@ -25,7 +25,7 @@ import functools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,6 +83,7 @@ __all__ = [
     "run_battery",
     "stability_pair",
     "sweep_slope",
+    "write_json",
     "write_reports_csv",
     "write_reports_json",
     "write_sweep_csv",
@@ -893,21 +894,17 @@ def sweep_slope(result: BatteryResult) -> tuple[float | None, list[tuple[float, 
     points = sorted((math.log(c), math.log(v)) for c, v in buckets.values())
     if len(points) < 2:
         return None, points
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    xs, ys = np.array(points).T
     if np.ptp(xs) < 1e-9:
         return None, points
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, points
+    # the least-squares line in closed form, with no LAPACK kernel
+    dx = xs - xs.mean()
+    return float((dx * (ys - ys.mean())).sum() / (dx * dx).sum()), points
 
 
 # -- report output ----------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "case_id", "theorem", "n", "alpha", "p", "q", "gamma", "x0",
-    "depth", "battery_depth", "characteristic", "lhs",
-    "rhs_sans_constant", "measured_constant", "passed",
-]
+CSV_COLUMNS = [f.name for f in fields(VerificationReport) if f.name != "extra"]
 
 
 def _fmt(value) -> str:
@@ -920,10 +917,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_row(r: VerificationReport) -> list[str]:
-    return [
-        _fmt(getattr(r, col)) for col in CSV_COLUMNS
-    ]
+def write_json(doc, path) -> None:
+    """The one JSON format of the run files: indent 2, sorted keys, a value
+    JSON cannot hold written as its str, and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def write_reports_csv(reports: list[VerificationReport], path) -> None:
@@ -931,7 +930,7 @@ def write_reports_csv(reports: list[VerificationReport], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join(report_row(r)) + "\n")
+            fh.write(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS) + "\n")
 
 
 def write_reports_json(reports: list[VerificationReport], path) -> None:
@@ -944,9 +943,7 @@ def write_reports_json(reports: list[VerificationReport], path) -> None:
             if isinstance(v, (int, float, str, bool))
         }
         docs.append(doc)
-    with open(path, "w") as fh:
-        json.dump(docs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(docs, path)
 
 
 def write_sweep_csv(result: BatteryResult, path) -> float | None:

@@ -461,6 +461,21 @@ class TestFrontEndBranches:
         assert result.output == (f"{name}: wrote {out / f'op_{name}.bin'} "
                                  f"(cube visits {expected.cube_visits})\n")
 
+    def test_list_x0_writes_the_named_centre_bytes(self, runner, tmp_path):
+        # [1/3] as coordinates is the unit root's "third" centre, for the weight and the bump
+        written = []
+        for x0 in ("third", "[0.3333333333333333]"):
+            out = tmp_path / x0.strip("[]")
+            path = tmp_path / "x0.yaml"
+            path.write_text(OP_CONFIG.format(out=out, name="dyadic_commutator")
+                            .replace("x0: third", f"x0: {x0}"))
+            for command in ("char", "op"):
+                result = runner.invoke(main, [command, "--config", str(path)])
+                assert result.exit_code == 0, result.output
+            written.append([(out / name).read_bytes()
+                            for name in ("characteristics.csv", "op_dyadic_commutator.bin")])
+        assert written[0] == written[1]
+
     def test_char_at_p1_rows(self, runner, tmp_path):
         path, out = write_config(tmp_path)
         path.write_text(path.read_text().replace("p: 2.0", "p: 1.0"))

@@ -370,6 +370,16 @@ class TestGridFunction:
         assert f.integral() == pytest.approx(0.8 - 1 / 3, abs=1e-14)
         assert f.min_cell() >= 0.0 and f.max_cell() <= 1.0
 
+    def test_negative_zero_corner_leaves_no_negative_zero(self, root1, tmp_path):
+        # the cell-unit clamp maps a corner at -0.0 to +0.0, so an empty overlap is +0.0
+        f = GridFunction.indicator(root1, 3, [-1.0], [-0.0])
+        assert not np.signbit(f.cells).any()
+        for lo, hi in (([-1.0], [-0.0]), ([-0.0], [0.5])):
+            assert not np.signbit(f.box_overlap(lo, hi)[1]).any()
+        path = tmp_path / "f.csv"
+        write_gridfunction(f, path, "csv")
+        assert "-0" not in path.read_text()
+
     def test_mesh_mismatch_rejected(self, root1):
         f = GridFunction.constant(root1, 5, 1.0)
         g = GridFunction.constant(root1, 6, 1.0)

@@ -52,14 +52,13 @@ def test_modules_import_only_earlier_layers():
     assert found == []
 
 
-# numpy names whose float64 calls may run a BLAS kernel, which the host's CPU picks
-BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
+# numpy names whose float64 calls may run a BLAS or LAPACK kernel, which the host's
+# CPU picks: the products, and the fits and moments that reach them outside np.linalg
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "matvec", "vecmat",
+              "polyfit", "cov", "corrcoef"}
 # today's BLAS sites in value paths, by enclosing top-level function; a site
 # leaves this list when its value stops depending on the BLAS kernel
 BLAS_SITES = {
-    "operators.riesz_potential_at": ["np.dot"],
-    "orlicz.amemiya_norm": ["np.dot"],
-    "orlicz.generalized_holder_check": ["@"],
     "verify.verify_summation_lemma": ["np.dot"],
     "weights._power_cell_average_2d": ["@"],
 }
