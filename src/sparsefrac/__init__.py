@@ -52,8 +52,8 @@ from .sparse import (
     SparseFamily,
     certify_sparse,
     cz_stopping_cubes,
+    sparse_family_doc,
     sparse_family_from_json,
-    sparse_family_to_json,
     sparse_select_for_operator,
     verify_commutator_domination,
     verify_sparse_domination,

@@ -19,7 +19,7 @@ from . import __version__
 from .config import FORMATS, ConfigError, load_config, require
 from .grid import DyadicGridFamily, GridFunction, RootBox, write_gridfunction
 from .operators import OPERATORS
-from .sparse import certify_sparse, sparse_family_to_json, sparse_select_for_operator
+from .sparse import certify_sparse, sparse_family_doc, sparse_select_for_operator
 from .verify import (
     THEOREM_TABLE,
     YOUNG_FUNCTIONS,
@@ -212,9 +212,7 @@ def sparse(s: _Setup):
     family = sparse_select_for_operator(f, s.family, s.cfg["op"]["grid"])
     cert = certify_sparse(family, s.family, s.depth)
     _write_meta(s)
-    path = s.out / "sparse_family.json"
-    with open(path, "w") as fh:
-        fh.write(sparse_family_to_json(family, cert) + "\n")
+    write_json(sparse_family_doc(family, cert), s.out / "sparse_family.json")
     click.echo(
         f"sparse family: {len(family)} cubes, min density {cert.min_density:.6f}, "
         f"certificate {'ok' if cert.ok else 'VIOLATION'}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, DyadicGridFamily, GridFunction, cubes_by_level
-from .orlicz import YoungFunction, luxemburg_norm_blocks
+from .orlicz import YoungFunction, checked_blocks, luxemburg_norm_blocks
 from .weights import CubeBattery
 
 __all__ = [
@@ -132,16 +132,11 @@ def fractional_maximal(
     return OperatorOutput(f.with_cells(out), "fractional_maximal", None, visits)
 
 
-def orlicz_level_rows(
+def _orlicz_rows(
     f: GridFunction, sigma: GridFunction, phi: YoungFunction,
-    family: DyadicGridFamily, grid_id: int,
+    family: DyadicGridFamily, grid_id: int, alpha: float | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level k = 0..K of one grid, sigma(Q) and ||f||_{Phi,Q,sigma} over
-    every cube of the level gather: the rows the Orlicz maximal operator
-    spreads.  They do not depend on alpha.
-
-    Zero-mass cubes get norm 0; the rest of every level share one
-    luxemburg_norm_blocks call, one block per level."""
+    """orlicz_level_rows, or with alpha weighted_orlicz_fractional_maximal's pruned rows."""
     f._same_mesh(sigma)
     sqs, parts = [], []
     for k in range(f.depth + 1):
@@ -152,13 +147,40 @@ def orlicz_level_rows(
         live = sq > 0
         sqs.append(sq)
         parts.append((vals[live], mass[live]))
-    flat = luxemburg_norm_blocks(parts, phi)
-    out = []
-    for sq, got in zip(sqs, np.split(flat, np.cumsum([len(v) for v, _ in parts])[:-1])):
-        norms = np.zeros_like(sq)
-        norms[sq > 0] = got
-        out.append((sq, norms))
-    return out
+    has_mass = np.concatenate([sq > 0 for sq in sqs])  # every cube of every level
+    ends = np.cumsum([sq.size for sq in sqs])
+
+    def per_cube(rows):  # one value per gauge row onto every cube, 0 where no mass lies
+        out = np.zeros(has_mass.size)
+        out[has_mass] = rows
+        return out
+
+    def keep(low, high):
+        scale = np.concatenate([sq ** (alpha / f.n) for sq in sqs])
+        at = np.stack([family.level_blocks(grid_id, k, f.depth).spread(np.arange(e - sq.size, e))
+                       for k, (sq, e) in enumerate(zip(sqs, ends))])  # (level, cell) -> cube
+        low, high = ((scale * per_cube(v))[at] for v in (low, high))
+        held = np.zeros(has_mass.size, dtype=bool)
+        held[at[~(high < low.max(axis=0))]] = True
+        return held[has_mass]
+
+    if alpha is not None:
+        parts = checked_blocks(parts)
+        parts.keep = keep
+    return list(zip(sqs, np.split(per_cube(luxemburg_norm_blocks(parts, phi)), ends[:-1])))
+
+
+def orlicz_level_rows(
+    f: GridFunction, sigma: GridFunction, phi: YoungFunction,
+    family: DyadicGridFamily, grid_id: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level k = 0..K of one grid, sigma(Q) and ||f||_{Phi,Q,sigma} over
+    every cube of the level gather: the rows the Orlicz maximal operator
+    spreads.  They do not depend on alpha.
+
+    Zero-mass cubes get norm 0; the rest of every level share one
+    luxemburg_norm_blocks call, one block per level."""
+    return _orlicz_rows(f, sigma, phi, family, grid_id)
 
 
 def weighted_orlicz_fractional_maximal(
@@ -175,10 +197,15 @@ def weighted_orlicz_fractional_maximal(
     alpha = 0 gives the weighted (Orlicz) maximal function; phi = t gives
     the plain weighted fractional maximal function.  rows, when given, are
     orlicz_level_rows(f, sigma, phi, family, grid_id), computed earlier;
-    only their spread onto the cells is left.
+    only their spread onto the cells is left.  Without them the gauge
+    bisects only the cubes whose sigma(Q)^(alpha/n) top / (1 - 2 rtol)
+    reaches, on a cell they spread to, the cellwise max of
+    sigma(Q)^(alpha/n) bottom; the rest get norm 0, and their stop steps
+    are read off brackets known to within eps (top + j 2^-j hi + eps hi)
+    after j steps (see luxemburg_norm_blocks): the bits of the rows= form.
     """
     if rows is None:
-        rows = orlicz_level_rows(f, sigma, phi, family, grid_id)
+        rows = _orlicz_rows(f, sigma, phi, family, grid_id, alpha)
     out = np.zeros_like(f.cells)
     visits = 0
     for k, (sq, norms) in enumerate(rows):

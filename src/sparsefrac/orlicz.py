@@ -14,11 +14,16 @@ and normalizes the rows, locates every row's root by Newton with an error
 band [bottom, top] around it, and opens one float-error scope.  The root
 decides every bisection test whose lambda lies outside the band, so only
 tests inside it evaluate Phi, and every value is the one bisecting that
-block on its own gives, bit for bit.  A value is 0 or lies in
-[bottom, top / (1 - rtol)], so the max-only gauge bisects just the blocks
-whose bands reach the largest bottom, on the rows and bands it made to
-pick them.  A caller gauging the same rows many times checks them once
-(checked_blocks).
+block on its own gives, bit for bit.  A caller gauging the same rows many
+times checks them once (checked_blocks).
+
+A value is 0 or lies in [bottom, top / (1 - 2 rtol)], so a caller after
+maxima keeps the rows that can hold one, and only those are bisected.  A
+block stops when its slowest row meets rtol, so every row of a block
+with a kept row is still bracketed and a dropped row's stop step is read
+off its bracket and band: after j steps the width is (hi - lo) 2^-j to
+within eps (top + j 2^-j hi + eps hi), and rows that bound leaves open
+are bisected too (_stop_steps).
 """
 
 from __future__ import annotations
@@ -214,11 +219,11 @@ def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
 
 class CheckedBlocks(list):
     """Blocks as luxemburg_norm_blocks checks them, one (|values|, masses
-    normalized per row) pair per block; it takes them as they are.  bands,
-    when set, is _live_bands' result on these blocks for the phi of the
-    call they are handed to (only luxemburg_norm_max sets it)."""
+    normalized per row) pair per block; it takes them as they are.  keep,
+    when set, is the rule that picks the rows the call bisects (see
+    luxemburg_norm_blocks)."""
 
-    bands = None
+    keep = None
 
 
 def checked_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> CheckedBlocks:
@@ -272,6 +277,34 @@ def _unchecked_steps(rtol: float) -> int:
     return max(math.floor(-math.log2(min(rtol, 1.0))) - 3, 0)
 
 
+def _stop_steps(lo, hi, bottom, top, rtol: float) -> np.ndarray:
+    """Per row, the first bisection step, at least _unchecked_steps(rtol),
+    after which the stop check finds the row narrow, read off its bracket
+    (lo, hi) = (hi 2^-k, hi) and root band [bottom, top] without bisecting;
+    -1 where the bounds cannot tell.
+
+    Relative to hi, after j steps the bracket is x 2^-j wide, x = 1 - 2^-k,
+    to within e = eps (top / hi + j 2^-j + eps): midpoint i rounds by at
+    most eps/2 of itself, it lies under min(hi, top + width_i) as the
+    lower end never passed, and later steps halve its error.  The upper
+    end lies in [bottom, top + width].  So the row is surely narrow at j
+    if x 2^-j + e stays under rtol bottom / hi, and surely wide if
+    x 2^-j - e exceeds rtol (top / hi + x 2^-j + e); the slack (8 eps, and
+    e doubled) covers the rounding of the check and of these bounds."""
+    first = _unchecked_steps(rtol)
+    x = 1.0 - lo / hi
+    e = 2.0 * _EPS * (top / hi + max(first, 1) * 2.0 ** -max(first, 1) + _EPS)  # j 2^-j <= that
+    reach = rtol * (bottom / hi) * (1.0 - 8.0 * _EPS) - e
+    sure = reach > 0  # NaN and infinite bands read nothing
+    j = np.full(len(x), first)
+    j[sure] = np.maximum(np.ceil(np.log2(x[sure] / reach[sure])), first)
+    j += np.ldexp(x, -j) > reach  # log2 and the quotient round: one step either way
+    j -= (j > first) & (np.ldexp(x, 1 - j) <= reach)
+    d = np.ldexp(x, 1 - j)  # the width one step earlier
+    wide = d * (1.0 - 8.0 * _EPS) - e > rtol * (top / hi + d + e) * (1.0 + 8.0 * _EPS)
+    return np.where(sure & ((j == first) | wide), j, -1)
+
+
 def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                           phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
     """Luxemburg gauge of sampled |values| against normalized masses for
@@ -303,18 +336,25 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     is bit-identical to bisecting each block on its own, and a block's
     values depend only on its own rows.  The scope silences overflow and
     invalid values, which only Phi and the bracket doubling can produce.
+
+    CheckedBlocks with keep set hand each row's value bounds (max(bottom,
+    0), top / (1 - 2 rtol)), or (0, 0) where no positive value carries
+    mass, to keep, which returns the rows to bisect; the others gauge 0.
+    Blocks with none are not bracketed; in the rest, the dropped rows'
+    stop steps (_stop_steps) floor the block's, so kept rows keep their bits.
     """
     _check_rtol(rtol)
     rows = blocks if isinstance(blocks, CheckedBlocks) else checked_blocks(blocks)
     if phi.kind == "power":
         return np.concatenate([np.zeros(0)] + [_p_means(a, m, phi.exponent) for a, m in rows])
-    lives, rows, count, bottom, top = rows.bands or _live_bands(rows, phi)
-    out = np.zeros(sum(len(live) for live in lives))
+    lives, live_rows, count, bottom, top = _live_bands(rows, phi)
+    live = np.concatenate([np.zeros(0, dtype=bool)] + lives)
+    out = np.zeros(len(live))
     if not count.any():
         return out
     first = np.cumsum(count) - count  # each block's first row
     edges = np.append(first, len(bottom))
-    blk = np.repeat(np.arange(len(rows)), count)
+    blk = np.repeat(np.arange(len(live_rows)), count)
 
     def test(lam, ids, bottom, top, bracket=None):
         # means(lam) <= 1 for the rows ids (ascending), read off the roots
@@ -334,41 +374,58 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
         cut = np.searchsorted(ids, edges)  # block b's near rows: cut[b] to cut[b + 1]
         for b in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
             part = near[cut[b]:cut[b + 1]]
-            a, m = rows[b]
+            a, m = live_rows[b]
             local = ids[cut[b]:cut[b + 1]] - first[b]
             ok[part] = _phi_means(a[local], m[local], lam[part], phi) <= 1.0
         return ok
 
+    run = np.ones(len(bottom), dtype=bool)  # the rows to bracket, then to bisect
+    if rows.keep is not None:
+        bounds = np.zeros((2, len(out)))  # (low, high) per row
+        bounds[:, live] = np.fmax(bottom, 0.0), top / (1.0 - 2.0 * rtol)
+        kept = rows.keep(*bounds)[live]
+        # only blocks with a kept row are bracketed, and the rows whose
+        # bracket could double past the float range (no other row can)
+        run = (np.bincount(blk[kept], minlength=len(count)) > 0)[blk] | ~(top < 2.0 ** 1023)
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = np.concatenate([a.max(axis=1, initial=0.0) for a, _ in rows])
-        up = np.flatnonzero(~test(hi, np.arange(len(hi)), bottom, top))
+        hi = np.concatenate([a.max(axis=1, initial=0.0) for a, _ in live_rows])
+        up = np.flatnonzero(run)
+        up = up[~test(hi[up], up, bottom[up], top[up])]
         while up.size:
             hi[up] *= 2.0
             up = up[~test(hi[up], up, bottom[up], top[up])]
         if not np.isfinite(hi).all():
             raise ValueError("gauge bracket overflows")
         lo = hi.copy()
-        down = np.arange(len(lo))  # every row passes at its upper bracket
+        down = np.flatnonzero(run)  # every row passes at its upper bracket
         while down.size:
             lo[down] *= 0.5
             down = down[lo[down] >= 1e-300]
             down = down[test(lo[down], down, bottom[down], top[down])]
-        dead = lo < 1e-300  # lower bracket under 1e-300: gauge 0
-        # bisect; a block stops once every one of its live rows meets rtol,
-        # which no row does in the first _unchecked_steps(rtol) steps
-        w = np.flatnonzero(~dead)
-        lo_w, hi_w, bottom_w, top_w = lo[w], hi[w], bottom[w], top[w]
+        run &= lo >= 1e-300  # the rest gauge 0
+        # a block stops once all its rows meet rtol, at or after its floor:
+        # _unchecked_steps(rtol) and the stop steps of its dropped rows
+        floor = np.full(len(live_rows), _unchecked_steps(rtol))
+        if rows.keep is not None:
+            kept &= run
+            run &= (np.bincount(blk[kept], minlength=len(count)) > 0)[blk]  # not without one
+            drop = np.flatnonzero(run & ~kept)
+            steps = _stop_steps(lo[drop], hi[drop], bottom[drop], top[drop], rtol)
+            drop, steps = drop[steps >= 0], steps[steps >= 0]
+            np.maximum.at(floor, blk[drop], steps)
+            run[drop] = False
+        w = np.flatnonzero(run)
+        lo_w, hi_w, bottom_w, top_w, floor_w = lo[w], hi[w], bottom[w], top[w], floor[blk[w]]
         starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
-        unchecked = _unchecked_steps(rtol)
+        step, checked = 0, floor_w.min() if w.size else 0  # no check before the lowest floor
         while w.size:
-            if unchecked:
-                unchecked -= 1
-            elif (not (wide := hi_w - lo_w > rtol * hi_w).all()
-                  and not (still := np.logical_or.reduceat(wide, starts)).all()):
-                keep = np.repeat(still, np.diff(starts, append=w.size))
-                hi[w[~keep]] = hi_w[~keep]
-                w, lo_w, hi_w, bottom_w, top_w = (
-                    x[keep] for x in (w, lo_w, hi_w, bottom_w, top_w))
+            if step >= checked and (
+                    not (wide := (hi_w - lo_w > rtol * hi_w) | (floor_w > step)).all()
+                    and not (still := np.logical_or.reduceat(wide, starts)).all()):
+                on = np.repeat(still, np.diff(starts, append=w.size))
+                hi[w[~on]] = hi_w[~on]
+                w, lo_w, hi_w, bottom_w, top_w, floor_w = (
+                    x[on] for x in (w, lo_w, hi_w, bottom_w, top_w, floor_w))
                 starts = np.flatnonzero(np.diff(blk[w], prepend=-1))
                 if not w.size:
                     break
@@ -376,33 +433,24 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
             ok = test(mid, w, bottom_w, top_w, (lo_w, hi_w))
             hi_w = np.where(ok, mid, hi_w)
             lo_w = np.where(ok, lo_w, mid)
-    out[np.concatenate(lives)] = np.where(dead, 0.0, hi)
+            step += 1
+    out[live] = np.where(run, hi, 0.0)
     return out
 
 
 def luxemburg_norm_max(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                        phi: YoungFunction, rtol: float = 1e-13) -> float:
     """luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0), bit for
-    bit, bisecting only the blocks with a row whose top / (1 - 2 rtol) (2
-    rtol covering rounding) reaches the largest bottom, or whose bracket
-    could double past the float range: no other block holds the maximum.
-    Those blocks reach luxemburg_norm_blocks with the rows and root bands
-    made here, so every block is checked and every root located once."""
-    if phi.kind == "power":
-        return float(luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0))
+    bit, bisecting only the rows whose top / (1 - 2 rtol) reaches the
+    largest bottom: no other row holds the maximum.  The other rows of
+    their blocks give their stop steps by the read-off of _stop_steps (the
+    bracket's width after j steps to within eps (top + j 2^-j hi + eps hi));
+    other blocks are not bracketed.  Every block is checked and every root
+    located once."""
     _check_rtol(rtol)
     rows = checked_blocks(blocks)
-    lives, live_rows, count, bottom, top = _live_bands(rows, phi)
-    held = np.flatnonzero(count)
-    reach = np.maximum.reduceat(top, (np.cumsum(count) - count)[held])
-    # fmax skips the NaN bottoms of rows whose sum of m a overflows
-    floor = min(np.fmax.reduce(bottom, initial=-np.inf), 2.0 ** 1023) * (1.0 - 2.0 * rtol)
-    keep = held[reach >= floor]
-    on = np.repeat(np.isin(np.arange(len(rows)), keep), count)  # their live rows
-    part = CheckedBlocks(rows[b] for b in keep)
-    part.bands = ([lives[b] for b in keep], [live_rows[b] for b in keep],
-                  count[keep], bottom[on], top[on])
-    return float(luxemburg_norm_blocks(part, phi, rtol).max(initial=0.0))
+    rows.keep = lambda low, high: high >= low.max()
+    return float(luxemburg_norm_blocks(rows, phi, rtol).max(initial=0.0))
 
 
 def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction, phi: YoungFunction) -> float:

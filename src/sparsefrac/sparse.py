@@ -44,7 +44,7 @@ __all__ = [
     "certify_sparse",
     "verify_sparse_domination",
     "verify_commutator_domination",
-    "sparse_family_to_json",
+    "sparse_family_doc",
     "sparse_family_from_json",
 ]
 
@@ -328,9 +328,11 @@ def verify_commutator_domination(
 # -- serialization -------------------------------------------------------------
 
 
-def sparse_family_to_json(
+def sparse_family_doc(
     sparse: SparseFamily, certificate: SparseCertificate | None = None
-) -> str:
+) -> dict:
+    """The sparse_family.json document (written in the run files' one
+    format by verify.write_json; read back by sparse_family_from_json)."""
     doc = {
         "format": "sparsefrac-sparse-family",
         "version": 1,
@@ -343,7 +345,7 @@ def sparse_family_to_json(
             "min_density": certificate.min_density,
             "disjoint": certificate.disjoint,
         }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return doc
 
 
 def sparse_family_from_json(text: str) -> SparseFamily:

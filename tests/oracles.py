@@ -233,7 +233,7 @@ def _bisect_gauge(a: np.ndarray, m: np.ndarray, phi: YoungFunction, rtol: float)
 
 
 def bisect_blocks(values: np.ndarray, masses: np.ndarray,
-                  phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
+                  phi: YoungFunction, rtol: float = 1e-13, trace: dict | None = None) -> np.ndarray:
     """The library's former one-block gauge, unchanged: Luxemburg gauge of
     sampled |values| against normalized masses, per row of the (rows,
     cells) arrays.
@@ -249,6 +249,10 @@ def bisect_blocks(values: np.ndarray, masses: np.ndarray,
     land within 1e-12 of each other.  Non-finite input, a row of no mass,
     a bracket past the float range and an rtol at the float spacing raise
     ValueError.
+
+    trace, when given, receives the live rows' brackets (lo, hi) after
+    the doubling and halving, their dead mask, and the number of
+    bisection steps taken.
     """
     a = np.abs(np.asarray(values, dtype=float))
     m = np.asarray(masses, dtype=float)
@@ -284,11 +288,15 @@ def bisect_blocks(values: np.ndarray, masses: np.ndarray,
     while (down := (means(lo) <= 1.0) & ~dead).any():
         lo[down] *= 0.5
         dead |= lo < 1e-300
+    if trace is not None:
+        trace.update(lo=lo.copy(), hi=hi.copy(), dead=dead.copy(), steps=0)
     while ((hi - lo > rtol * hi) & ~dead).any():
         mid = 0.5 * lo + 0.5 * hi
         ok = means(mid) <= 1.0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
+        if trace is not None:
+            trace["steps"] += 1
     out[live] = np.where(dead, 0.0, hi)
     return out
 

@@ -3,6 +3,7 @@
 Each test prints one pass/fail line (run with -s to see them inline).
 """
 
+import json
 import math
 import time
 
@@ -36,8 +37,8 @@ from sparsefrac.orlicz import (
 from sparsefrac.sparse import (
     SparseFamily,
     certify_sparse,
+    sparse_family_doc,
     sparse_family_from_json,
-    sparse_family_to_json,
     sparse_select_for_operator,
     verify_sparse_domination,
 )
@@ -477,7 +478,7 @@ verify:
     fam = DyadicGridFamily(ROOT1, 8)
     f = GridFunction(ROOT1, rng.uniform(0.0, 1.0, 256))
     sel = sparse_select_for_operator(f, fam, 1)
-    back = sparse_family_from_json(sparse_family_to_json(sel, certify_sparse(sel, fam, 8)))
+    back = sparse_family_from_json(json.dumps(sparse_family_doc(sel, certify_sparse(sel, fam, 8))))
     ok &= back.cubes == sel.cubes and back.grid_id == sel.grid_id
     _report(10, ok, "determinism: byte-identical CSV/JSON reports; exact "
                     "mesh-function and sparse-family round-trips")

@@ -288,6 +288,17 @@ class TestOpAndSparse:
         fam = sparse_family_from_json(json.dumps(doc))
         assert len(fam.cubes) >= 1
 
+    def test_sparse_family_in_the_run_file_format(self, runner, tmp_path):
+        # sparse_family.json reads back to a document that write_json
+        # writes as the same bytes, as run_meta.json does
+        path, out = write_config(tmp_path)
+        result = runner.invoke(main, ["sparse", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        for name in ("sparse_family.json", "run_meta.json"):
+            text = (out / name).read_text()
+            verify.write_json(json.loads(text), tmp_path / name)
+            assert (tmp_path / name).read_text() == text
+
     @pytest.mark.parametrize("name", ["riesz_potential", "commutator"])
     def test_continuous_operator_needs_one_dimension(self, runner, tmp_path, name):
         path, out = write_config(tmp_path)

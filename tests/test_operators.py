@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefrac import operators, verify
 from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction, RootBox
@@ -21,7 +23,7 @@ from sparsefrac.operators import (
     weighted_orlicz_fractional_maximal,
 )
 from sparsefrac.orlicz import EXPM1, LLOG, POWER1
-from sparsefrac.weights import CubeBattery
+from sparsefrac.weights import CubeBattery, ExponentTriple, admissible_gamma_range, power_weight
 
 from .conftest import refine
 from .oracles import (
@@ -260,7 +262,8 @@ class TestOrliczMaximal:
     @pytest.mark.parametrize("phi", [LLOG, EXPM1])
     @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
     def test_equals_per_level_bisection(self, root1, root2, dim, depth, phi, monkeypatch):
-        # one gauge call over every level gives, bit for bit, what one
+        # the operator, which bisects only the cubes that can hold a cell's
+        # maximum, gives bit for bit what spreading the rows of one
         # bisection per level gives, on every grid (shifted ones included)
         root = root1 if dim == 1 else root2
         fam = DyadicGridFamily(root, depth)
@@ -274,9 +277,66 @@ class TestOrliczMaximal:
                for gid in range(fam.num_grids)]
         monkeypatch.setattr(operators, "luxemburg_norm_blocks", per_block_gauge)
         for gid, out in enumerate(got):
-            ref = weighted_orlicz_fractional_maximal(f, sigma, 0.4, phi, fam, gid)
+            rows = operators.orlicz_level_rows(f, sigma, phi, fam, gid)
+            ref = weighted_orlicz_fractional_maximal(f, sigma, 0.4, phi, fam, gid, rows=rows)
             assert np.array_equal(out.cells, ref.cells)
             assert out.cube_visits == ref.cube_visits
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([LLOG, EXPM1]), st.sampled_from([0.0, 0.4, 0.9]),
+           st.sampled_from([(1, 5), (1, 7), (2, 3), (2, 4)]),
+           st.sampled_from([(0.0, 1.0), (-0.3, 2.5), (0.1, 0.9)]),
+           st.floats(0.1, 6.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_pruned_equals_full_rows(self, phi, alpha, mesh, box, spread, hole, seed):
+        # the pruned operator against the spread of every cube's norm, on
+        # dyadic and non-dyadic roots, log-normal f up to sigma 6, and a
+        # corner of no sigma-mass
+        (dim, depth), (origin, side) = mesh, box
+        root = RootBox((origin,) * dim, side)
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(seed)
+        shape = (2 ** depth,) * dim
+        f = GridFunction(root, rng.lognormal(0.0, spread, shape))
+        cells = rng.lognormal(0.0, 1.0, shape)
+        if hole:
+            cells[(slice(0, 2 ** (depth - 1)),) * dim] = 0.0
+        sigma = GridFunction(root, cells)
+        for gid in range(fam.num_grids):
+            got = weighted_orlicz_fractional_maximal(f, sigma, alpha, phi, fam, gid)
+            rows = operators.orlicz_level_rows(f, sigma, phi, fam, gid)
+            ref = weighted_orlicz_fractional_maximal(f, sigma, alpha, phi, fam, gid, rows=rows)
+            assert np.array_equal(got.cells, ref.cells)
+            assert got.cube_visits == ref.cube_visits
+
+    @pytest.mark.parametrize("dim,depth,alpha", [(1, 10, 1 / 3), (2, 5, 0.8)])
+    def test_bisects_few_rows(self, dim, depth, alpha, monkeypatch):
+        # on a rough background with point masses against a power weight,
+        # the shape of the benchmark's operator inputs, every grid's gauge
+        # bisects at most a tenth of its rows: the rest gauge 0 in that
+        # call, so a fallback to bisecting every row fails here
+        root = RootBox((0.0,) * dim, 1.0)
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(dim)
+        shape = (2 ** depth,) * dim
+        cells = np.exp(0.25 * rng.standard_normal(shape))
+        spikes = rng.choice(cells.size, size=24, replace=False)
+        cells.flat[spikes] += rng.uniform(2.0, 4.0, 24) * 2.0 ** (depth * dim / 2)
+        f = GridFunction(root, cells)
+        e = ExponentTriple(dim, alpha, 2.0)
+        sigma = power_weight(root, depth, 0.5 * admissible_gamma_range(e)[0], (0.3,) * dim).sigma(e)
+        full = operators.luxemburg_norm_blocks
+        counts = []
+
+        def counted(parts, phi, rtol=1e-13):
+            got = full(parts, phi, rtol)
+            counts.append((np.count_nonzero(got), got.size))
+            return got
+
+        monkeypatch.setattr(operators, "luxemburg_norm_blocks", counted)
+        for gid in range(fam.num_grids):
+            weighted_orlicz_fractional_maximal(f, sigma, alpha, LLOG, fam, gid)
+        assert len(counts) == fam.num_grids
+        assert all(0 < bisected <= 0.1 * rows for bisected, rows in counts)
 
 
 class TestCommutators:

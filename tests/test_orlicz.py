@@ -276,7 +276,7 @@ class TestBatchedGauge:
     @example(EXPM1, [(6, 1, ["guard"] * 5), (3, 2, ["plain", "guard"])], None)
     @example(LLOG, [(9, 5, ["floor"] * 4), (2, 3, ["wide", "plain"]), (4, 7, ["massless"])], None)
     def test_max_equals_full_call(self, phi, specs, rnd):
-        # the max path bisects only the blocks that can hold the maximum
+        # the max path bisects only the rows that can hold the maximum
         # and returns the full call's maximum, bit for bit, in any order
         blocks = [gauge_block(*spec, phi) for spec in specs]
         if rnd is not None:
@@ -317,10 +317,33 @@ class TestBatchedGauge:
         want = np.concatenate([bisect_blocks(v, m, phi, rtol) for v, m in blocks])
         assert np.array_equal(luxemburg_norm_blocks(blocks, phi, rtol), want)
 
+    @pytest.mark.parametrize("rtol", [1e-13, 1e-10, 1e-6])
+    @pytest.mark.parametrize("phi", [LLOG, EXPM1])
+    def test_read_off_stop_steps_equal_one_row_bisection(self, phi, rtol):
+        # a stop step read off a row's bracket and root band is the step a
+        # one-row bisection of that row stops at; on rows the bounds cannot
+        # tell (-1) the max path and the operator bisect instead
+        kinds = ROW_KINDS * 4
+        read = {kind: [] for kind in ROW_KINDS}
+        for width, seed in ((7, 31), (1, 32), (16, 33), (64, 34), (3, 35), (40, 36)):
+            vals, mass = gauge_block(width, seed, kinds, phi)
+            lives, _, _, bottom, top = orlicz._live_bands(
+                orlicz.checked_blocks([(vals, mass)]), phi)
+            for i, row in enumerate(np.flatnonzero(lives[0])):
+                trace = {}
+                bisect_blocks(vals[row:row + 1], mass[row:row + 1], phi, rtol, trace)
+                if not trace["dead"][0]:
+                    step = orlicz._stop_steps(trace["lo"], trace["hi"], bottom[i:i + 1],
+                                              top[i:i + 1], rtol)[0]
+                    assert step in (-1, trace["steps"])
+                    read[kinds[row]].append(step >= 0)
+        # every plain row is read, and some row of every kind
+        assert all(read["plain"]) and all(any(r) for r in read.values())
+
     @pytest.mark.parametrize("phi", [LLOG, EXPM1])
     def test_max_sets_up_once(self, phi, monkeypatch):
-        # the held blocks reach the bisection with the rows and root bands
-        # the block filter made: one check and one Newton solve per call
+        # the max path hands its checked rows and keep rule to one gauge
+        # call: one check and one Newton solve per call
         blocks = [gauge_block(width, seed, ["plain", "wide", "floor", "massless"], phi)
                   for width, seed in ((7, 11), (3, 12), (16, 13), (1, 14))]
         want = luxemburg_norm_blocks(blocks, phi).max(initial=0.0)

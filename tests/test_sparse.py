@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from sparsefrac.sparse import (
     _nearest_selected,
     certify_sparse,
     cz_stopping_cubes,
+    sparse_family_doc,
     sparse_family_from_json,
-    sparse_family_to_json,
     sparse_select_for_operator,
     verify_commutator_domination,
     verify_sparse_domination,
@@ -391,7 +392,7 @@ class TestSerialization:
         f = GridFunction(root1, rng.uniform(0, 1, 256))
         sel = sparse_select_for_operator(f, fam8, 1)
         cert = certify_sparse(sel, fam8, 8)
-        text = sparse_family_to_json(sel, cert)
+        text = json.dumps(sparse_family_doc(sel, cert))
         back = sparse_family_from_json(text)
         assert back.grid_id == sel.grid_id
         assert back.cubes == sel.cubes

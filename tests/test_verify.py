@@ -314,17 +314,20 @@ class TestBatchedGauge:
     def test_max_gauge_bisects_one_level(self, monkeypatch):
         # at (n, K, battery depth) = (1, 10, 5) the root bands rule out all
         # but one battery level in each of the four distinct oscillation
-        # gauges, so one block per gauge reaches the bisection
-        blocks = []
+        # gauges, so one block per gauge reaches the bisection: the rows
+        # of every other block gauge 0 in the call the max path makes
+        held = []
         full = orlicz.luxemburg_norm_blocks
 
         def counted(parts, phi, rtol=1e-13):
-            blocks.append(len(parts))
-            return full(parts, phi, rtol)
+            got = full(parts, phi, rtol)
+            held.append(sum(bool(part.any()) for part in np.split(
+                got, np.cumsum([len(a) for a, _ in parts])[:-1])))
+            return got
 
         monkeypatch.setattr(orlicz, "luxemburg_norm_blocks", counted)
         run_battery("weighted_bmo", E_THIRD, depth=10, battery_depth=5, gammas=2)
-        assert blocks == [1] * 4
+        assert held == [1] * 4
 
 
 class TestDualityCubes:
