@@ -29,6 +29,7 @@ from .verify import (
     run_battery,
     run_scope,
     workspace,
+    write_csv,
     write_json,
     write_reports_csv,
     write_reports_json,
@@ -49,13 +50,12 @@ from .weights import (
 )
 
 _OPTIONS = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True),
+    click.option("--config", required=True, type=click.Path(exists=True),
                  help="YAML experiment config"),
-    click.option("--out", "out_dir", default=None, help="output directory"),
+    click.option("--out", default=None, help="output directory"),
     click.option("--seed", default=None, type=int, help="only recorded in run_meta.json"),
     click.option("--depth", default=None, type=int, help="mesh depth K override"),
-    click.option("--format", "fmt", default=None,
-                 type=click.Choice(FORMATS), help="report format"),
+    click.option("--format", default=None, type=click.Choice(FORMATS), help="report format"),
 ]
 
 
@@ -80,15 +80,14 @@ class _Setup(NamedTuple):
         return Path(self.cfg["run"]["out"])
 
 
-def _setup(config_path, out_dir, seed, depth, fmt) -> _Setup:
+def _setup(config, **overrides) -> _Setup:
+    """Each flag's value, unless None, replaces the run key of its name."""
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(config)
     except ConfigError as exc:
         _fail_config(str(exc))
     run, dom = cfg["run"], cfg["domain"]
-    for key, value in (("out", out_dir), ("seed", seed), ("depth", depth), ("format", fmt)):
-        if value is not None:
-            run[key] = value
+    run.update((key, value) for key, value in overrides.items() if value is not None)
     try:  # the library's own checks of the box, the depth and the exponents
         root = RootBox(tuple(float(v) for v in dom["origin"]), float(dom["side"]))
         family = DyadicGridFamily(root, run["depth"])
@@ -103,8 +102,8 @@ def _setup(config_path, out_dir, seed, depth, fmt) -> _Setup:
 def _command(fn):
     """A subcommand taking the config and its overrides; fn gets the _Setup."""
     @functools.wraps(fn)
-    def command(config_path, out_dir, seed, depth, fmt):
-        return fn(_setup(config_path, out_dir, seed, depth, fmt))
+    def command(**flags):
+        return fn(_setup(**flags))
     for opt in reversed(_OPTIONS):
         command = opt(command)
     return main.command()(command)
@@ -181,10 +180,7 @@ def char(s: _Setup):
     if s.cfg["run"]["format"] == "json":
         write_json(rows, s.out / "characteristics.json")
     else:
-        with open(s.out / "characteristics.csv", "w") as fh:
-            fh.write("name,value\n")
-            for name, value in sorted(rows.items()):
-                fh.write(f"{name},{value:.17g}\n")
+        write_csv(s.out / "characteristics.csv", ["name", "value"], sorted(rows.items()))
 
 
 @_command

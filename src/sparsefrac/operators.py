@@ -9,6 +9,7 @@ enters on either side.  Every grid runs one block computation per level
 on DyadicGridFamily.level_blocks: a cube integrates over every cell it
 meets, weighted by overlap, and its value lands on the cells whose
 centers it holds, so outputs are cellwise values at cell centers.
+|Q|^(alpha/n) of a level-k cube is side_k^alpha.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ class OperatorOutput:
         return self.values.cells
 
 
-def _size_factor(family: DyadicGridFamily, level: int, alpha: float) -> float:
-    # |Q|^(alpha/n) for a level-k cube is just side_k^alpha
-    return family.side_at(level) ** alpha
-
-
 def _level_cell_info(f: GridFunction, family: DyadicGridFamily, grid_id: int, level: int):
     """Cube averages at one level, mapped onto cells by center membership.
 
@@ -81,7 +77,7 @@ def dyadic_fractional_integral(
     visits = 0
     for k in range(f.depth + 1):
         avg, nv = _level_cell_info(f, family, grid_id, k)
-        out += _size_factor(family, k, alpha) * avg
+        out += family.side_at(k) ** alpha * avg
         visits += nv
     return OperatorOutput(f.with_cells(out), "dyadic_fractional_integral", grid_id, visits)
 
@@ -99,7 +95,7 @@ def sparse_fractional_integral(
         rows, inside = blocks.locate(coords)
         avg = family.cube_integrals(f, g, k, coords[inside]) / family.volume_at(k)
         per_row = np.zeros(math.prod(blocks.shape))
-        np.add.at(per_row, rows, _size_factor(family, k, alpha) * avg)
+        np.add.at(per_row, rows, family.side_at(k) ** alpha * avg)
         out += blocks.spread(per_row)
         visits += len(rows)
     return OperatorOutput(f.with_cells(out), "sparse_fractional_integral", None, visits)
@@ -114,7 +110,7 @@ def dyadic_fractional_maximal(
     visits = 0
     for k in range(f.depth + 1):
         avg, nv = _level_cell_info(absf, family, grid_id, k)
-        np.maximum(out, _size_factor(family, k, alpha) * avg, out=out)
+        np.maximum(out, family.side_at(k) ** alpha * avg, out=out)
         visits += nv
     return OperatorOutput(f.with_cells(out), "dyadic_fractional_maximal", grid_id, visits)
 
@@ -167,7 +163,10 @@ def _orlicz_rows(
     if alpha is not None:
         parts = checked_blocks(parts)
         parts.keep = keep
-    return list(zip(sqs, np.split(per_cube(luxemburg_norm_blocks(parts, phi)), ends[:-1])))
+    rows = list(zip(sqs, np.split(per_cube(luxemburg_norm_blocks(parts, phi)), ends[:-1])))
+    for sq, norms in rows:
+        sq.flags.writeable = norms.flags.writeable = False  # shared in a run scope
+    return rows
 
 
 def orlicz_level_rows(
@@ -179,7 +178,8 @@ def orlicz_level_rows(
     spreads.  They do not depend on alpha.
 
     Zero-mass cubes get norm 0; the rest of every level share one
-    luxemburg_norm_blocks call, one block per level."""
+    luxemburg_norm_blocks call, one block per level.  The arrays are
+    read-only."""
     return _orlicz_rows(f, sigma, phi, family, grid_id)
 
 
@@ -372,7 +372,7 @@ def dyadic_commutator(
     visits = 0
     for k, level in enumerate(plan):
         order, split = (a.astype(np.intp) for a in level)  # each used twice below
-        factor = _size_factor(family, k, alpha) / family.volume_at(k)
+        factor = family.side_at(k) ** alpha / family.volume_at(k)
         blocks = family.level_blocks(grid_id, k, f.depth)
         fv, frac = blocks.rows(f.cells)
         fms = (fv * frac * f.cell_volume).ravel()[order]
@@ -440,9 +440,9 @@ def inner_outer_split(
     for k in range(f.depth + 1):
         avg, _ = _level_cell_info(f, family, cube.grid_id, k)
         if k >= cube.level:
-            inner[held] += _size_factor(family, k, alpha) * avg[held]
+            inner[held] += family.side_at(k) ** alpha * avg[held]
         elif held.any():
-            outer += _size_factor(family, k, alpha) * float(avg[held][0])
+            outer += family.side_at(k) ** alpha * float(avg[held][0])
     return (
         OperatorOutput(f.with_cells(inner), "inner_part", cube.grid_id, 0),
         outer,

@@ -418,13 +418,8 @@ def _apq(w: Weight, e: ExponentTriple, battery: CubeBattery) -> float:
 
 def _level_rows(f: GridFunction, sigma: GridFunction, phi: YoungFunction, ws: Workspace):
     """(sigma(Q), ||f||_{Phi,Q,sigma}) per level of grid 0, read-only."""
-    def compute():
-        rows = orlicz_level_rows(f, sigma, phi, ws.family, 0)
-        for arrays in rows:
-            for a in arrays:
-                a.flags.writeable = False
-        return rows
-    return _shared("orlicz_level_rows", (f, sigma), (phi, ws.family), compute)
+    return _shared("orlicz_level_rows", (f, sigma), (phi, ws.family),
+                   lambda: orlicz_level_rows(f, sigma, phi, ws.family, 0))
 
 
 # -- norm helpers ---------------------------------------------------------------
@@ -925,12 +920,18 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
+def write_csv(path, columns, rows) -> None:
+    """The one CSV format of the run files: a header line of the column
+    names, then one line per row of its fields through _fmt, comma-joined."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
 def write_reports_csv(reports: list[VerificationReport], path) -> None:
     rows = sorted(reports, key=lambda r: (r.theorem, r.case_id))
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS) + "\n")
+    write_csv(path, CSV_COLUMNS, ([getattr(r, col) for col in CSV_COLUMNS] for r in rows))
 
 
 def write_reports_json(reports: list[VerificationReport], path) -> None:
@@ -950,8 +951,5 @@ def write_sweep_csv(result: BatteryResult, path) -> float | None:
     """Plot data for the gamma sweep: one (log char, log lhs) row per gamma.
     Returns the fitted slope (see sweep_slope)."""
     slope, points = sweep_slope(result)
-    with open(path, "w") as fh:
-        fh.write("log_characteristic,log_normalized_lhs\n")
-        for x, y in points:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    write_csv(path, ["log_characteristic", "log_normalized_lhs"], points)
     return slope

@@ -358,7 +358,9 @@ class TestReportRoundTrip:
         for col in ("lhs", "measured_constant", "characteristic"):
             idx = header.index(col)
             for row in lines[1:]:
-                text = row.split(",")[idx]
+                # the case id, the only text column that holds commas, is
+                # left of these, so split from the right
+                text = row.rsplit(",", len(header) - 1)[idx]
                 assert f"{float(text):.17g}" == text
 
 
@@ -790,7 +792,7 @@ class TestSurface:
         assert set(main.commands) == {"char", "op", "sparse", "verify", "sweep"}
         for command in main.commands.values():
             assert [p.name for p in command.params] == [
-                "config_path", "out_dir", "seed", "depth", "fmt"]
+                "config", "out", "seed", "depth", "format"]
 
     def test_env_var_reaches_char(self, runner, tmp_path):
         path, out = write_config(tmp_path)
@@ -798,3 +800,21 @@ class TestSurface:
                                env={"SPARSEFRAC_CHAR_DEPTH": "5"})
         assert result.exit_code == 0, result.output
         assert json.loads((out / "run_meta.json").read_text())["run"]["depth"] == 5
+
+    def test_format_env_var_reaches_verify(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        result = runner.invoke(main, ["verify", "--config", str(path)],
+                               env={"SPARSEFRAC_VERIFY_FORMAT": "json"})
+        assert result.exit_code == 0, result.output
+        assert (out / "reports.json").exists() and not (out / "reports.csv").exists()
+        assert json.loads((out / "run_meta.json").read_text())["run"]["format"] == "json"
+
+    def test_out_env_var_reaches_char(self, runner, tmp_path):
+        path, out = write_config(tmp_path)
+        other = tmp_path / "other"
+        result = runner.invoke(main, ["char", "--config", str(path)],
+                               env={"SPARSEFRAC_CHAR_OUT": str(other)})
+        assert result.exit_code == 0, result.output
+        assert not out.exists()
+        assert (other / "characteristics.csv").exists()
+        assert json.loads((other / "run_meta.json").read_text())["run"]["out"] == str(other)

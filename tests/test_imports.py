@@ -93,3 +93,32 @@ def test_blas_calls_only_at_the_known_sites():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= blas_sites(path)
     assert found == BLAS_SITES
+
+
+# the run-file writers: each format has one, so a fix to a format (such as
+# CSV quoting) lands in one place
+WRITE_SITES = {"verify.write_json", "verify.write_csv", "grid.write_gridfunction"}
+
+
+def write_sites(path: Path) -> set[str]:
+    """The top-level functions (or methods) of a module that call open( in a
+    mode that writes: a mode holding w, a, x or +, or one not written out."""
+    found = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "open"):
+                    continue
+                mode = (call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+                        or [ast.Constant("r")])[0]
+                if not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")):
+                    within = [top.name] if node is not top else []
+                    found.add(".".join([path.stem, *within, getattr(node, "name", "<module>")]))
+    return found
+
+
+def test_run_files_written_only_by_the_writers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= write_sites(path)
+    assert found == WRITE_SITES

@@ -282,6 +282,31 @@ class TestOrliczMaximal:
             assert np.array_equal(out.cells, ref.cells)
             assert out.cube_visits == ref.cube_visits
 
+    def test_rows_are_read_only(self, root2, monkeypatch):
+        # a run scope shares the rows, so they are read-only where they are
+        # made: the direct call's and the operator's own pruned rows
+        fam = DyadicGridFamily(root2, 3)
+        rng = np.random.default_rng(29)
+        f = GridFunction(root2, rng.uniform(0, 1, (8, 8)))
+        sigma = GridFunction(root2, rng.uniform(0.3, 2, (8, 8)))
+        built = operators._orlicz_rows
+        made = []
+
+        def spied(*args):
+            made.append(built(*args))
+            return made[-1]
+
+        monkeypatch.setattr(operators, "_orlicz_rows", spied)
+        for gid in range(fam.num_grids):
+            rows = operators.orlicz_level_rows(f, sigma, LLOG, fam, gid)
+            weighted_orlicz_fractional_maximal(f, sigma, 0.4, LLOG, fam, gid)
+            pruned = made[-1]  # the operator's own, built with alpha
+            assert len(rows) == len(pruned) == 4
+            for arrays in (rows, pruned):
+                assert not any(a.flags.writeable for level in arrays for a in level)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0][1][0] = 1.0
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from([LLOG, EXPM1]), st.sampled_from([0.0, 0.4, 0.9]),
            st.sampled_from([(1, 5), (1, 7), (2, 3), (2, 4)]),
