@@ -4,11 +4,12 @@ Everything lives on a half-open root box [o, o+L)^n with n = 1 or 2.  A
 grid family holds the 2^n one-third-shifted dyadic grids; a cube is
 addressed by (grid_id, level, integer coords) and its corners are exact
 rationals with denominator 3 * 2^level, so nesting and disjointness tests
-are pure integer arithmetic.  Mesh functions are arrays of cell values at
-depth K with a long-double cumulative table (built on first use), giving
-O(1) box integrals within a few long-double ulps of the box's mass, also
-for boxes cutting through cells (the shifted grids are not mesh aligned,
-so partial-cell overlap is the common case, not the exception).
+are pure integer arithmetic.  Level blocks come from per-axis tables
+shared by the grids.  Mesh functions are arrays of cell values at depth K
+with a long-double cumulative table (built on first use), giving O(1) box
+integrals within a few long-double ulps of the box's mass, also for boxes
+cutting through cells (the shifted grids are not mesh aligned, so
+partial-cell overlap is the common case, not the exception).
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def _cell_units(x, origin, h: float, m: int):
 def _overlap_fractions(u, v, j):
     """Overlap of [u, v) with the cells [j, j + 1), all in cell units."""
     return np.minimum(np.maximum(np.minimum(v, j + 1.0) - np.maximum(u, j), 0.0), 1.0)
+
+
+def _corners(origin, side: float, level, num):
+    """origin + side / (3 * 2^level) * num: the one float expression for cube corners."""
+    return origin + side / (3 * (1 << level)) * num
 
 
 def _outer(axes):
@@ -142,6 +148,7 @@ class DyadicGridFamily:
             tuple((g >> d) & 1 for d in range(n)) for g in range(2 ** n)
         ]
         self._level_blocks: dict[tuple[int, int, int], LevelBlocks] = {}
+        self._axis_tables = functools.cache(functools.partial(_axis_levels, side=root.side))
 
     @property
     def n(self) -> int:
@@ -201,15 +208,12 @@ class DyadicGridFamily:
         return lo[0], hi[0]
 
     def cube_corners(self, grid_id: int, level: int, coords) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corners, each (N, n), of the cubes at integer coords (N, n).
-
-        The one float expression for corners: origin + side / (3 * 2^level)
-        * float(3 m + e [+ 3]), so every caller gets the same bits."""
+        """(lo, hi) corners, each (N, n), of the cubes at integer coords (N, n):
+        _corners of float(3 m + e [+ 3]), so every caller gets the same bits."""
         num = 3 * np.asarray(coords, dtype=np.int64).reshape(-1, self.n)
         num += self._shift_signs(grid_id, level)
-        scale = self.root.side / (3 * (1 << level))
-        origin = self.root.lo
-        return origin + scale * num.astype(float), origin + scale * (num + 3).astype(float)
+        return tuple(_corners(self.root.lo, self.root.side, level, x.astype(float))
+                     for x in (num, num + 3))
 
     def cube_integrals(self, f: "GridFunction", grid_id: int, level: int, coords) -> np.ndarray:
         """Integrals of f over the level cubes at coords (N, n), in one
@@ -317,7 +321,8 @@ class DyadicGridFamily:
 
         Per axis cube m covers [b (m + e/3), b (m + 1 + e/3)) in cell units,
         b = 2^(K - level): b cells on an unshifted axis, b + 1 on a shifted
-        one (fewer where the root box clips).  Cached."""
+        one (fewer where the root box clips).  Each axis is one level of a
+        table per (axis origin, shift, K) that grids share; read-only.  Cached."""
         key = (grid_id, level, depth)
         if key in self._level_blocks:
             return self._level_blocks[key]
@@ -325,30 +330,35 @@ class DyadicGridFamily:
         self._check_level(level)
         if level > depth:
             raise ValueError(f"level {level} cubes are finer than the depth-{depth} mesh")
-        m = 2 ** depth
-        b = 1 << (depth - level)
-        h = self.root.side / m
-        start, idx, frac, row = [], [], [], []
-        for d, e in enumerate(self._shift_signs(grid_id, level)):
-            # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
-            holder = (6 * np.arange(m) + 3 - 2 * b * e) // (6 * b)
-            coords = np.arange(holder[0], holder[-1] + 1)
-            # corners as cube_bounds computes them, so rows reproduce box_overlap bit for bit
-            u, v = (
-                _cell_units(x[:, d], self.root.origin[d], h, m)[:, None]
-                for x in self.cube_corners(grid_id, level, np.repeat(coords[:, None], self.n, 1))
-            )
-            i0, i1 = np.floor(u).astype(np.int64), np.ceil(v).astype(np.int64)
-            j = i0 + np.arange(int((i1 - i0).max()))
-            start.append(int(holder[0]))
-            idx.append(np.where(j < i1, j, m))
-            frac.append(_overlap_fractions(u, v, j))
-            row.append(holder - holder[0])
-        for a in idx + frac + row:
-            a.flags.writeable = False  # shared through the cache
-        blocks = LevelBlocks(tuple(start), tuple(idx), tuple(frac), tuple(row))
-        self._level_blocks[key] = blocks
+        axes = (self._axis_tables(o, t, depth)[level]
+                for o, t in zip(self.root.origin, self.shift_thirds[grid_id]))
+        self._level_blocks[key] = blocks = LevelBlocks(*map(tuple, zip(*axes)))
         return blocks
+
+
+def _axis_levels(origin: float, t: int, depth: int, side: float) -> list[tuple]:
+    """One axis of level_blocks for every level 0..K in one pass: per level
+    (start, idx, frac, row) for the axis at origin with shift t/3."""
+    m, lev = 1 << depth, np.arange(depth + 1)
+    b, e = 1 << (depth - lev), np.where(lev % 2, -t, t)  # e: 3 * (-1)^k * t
+    # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
+    holder = (6 * np.arange(m) + 3 - (2 * b * e)[:, None]) // (6 * b)[:, None]
+    start, rows = holder[:, 0], holder[:, -1] + 1 - holder[:, 0]
+    first, k = np.cumsum(rows) - rows, np.repeat(lev, rows)  # k: the level of each row
+    num = 3 * (start[k] + np.arange(k.size) - first[k]) + e[k]
+    # corners as cube_corners computes them, so rows reproduce box_overlap bit for bit
+    u, v = (_cell_units(_corners(origin, side, k, x.astype(float)), origin, side / m, m)
+            for x in (num, num + 3))
+    i0, i1 = np.floor(u).astype(np.int64), np.ceil(v).astype(np.int64)
+    width = np.maximum.reduceat(i1 - i0, first)
+    r = np.repeat(np.arange(k.size), w := width[k])  # the row of each window entry
+    j = i0[r] + np.arange(r.size) - np.repeat(np.cumsum(w) - w, w)
+    idx, frac = np.where(j < i1[r], j, m), _overlap_fractions(u[r], v[r], j)
+    row = holder - start[:, None]
+    for a in (idx, frac, row):
+        a.flags.writeable = False  # shared through the caches
+    return [(int(s), idx[z - n * c:z].reshape(n, c), frac[z - n * c:z].reshape(n, c), rk)
+            for s, n, c, z, rk in zip(start, rows, width, np.cumsum(rows * width), row)]
 
 
 @dataclass(frozen=True)
@@ -359,8 +369,7 @@ class LevelBlocks:
     start[d] is the cube coordinate of row 0; idx[d] (rows, width) lists
     the cells each row meets in the mesh zero-extended by one cell (index
     2^K); frac[d] holds their overlap fractions; row[d] maps every cell to
-    the row whose cube holds its centre.
-    """
+    the row whose cube holds its centre.  All are read-only, shared per axis."""
 
     start: tuple[int, ...]
     idx: tuple[np.ndarray, ...]

@@ -19,6 +19,7 @@ the level_blocks rows; carrier masks are made from them on demand.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -87,11 +88,15 @@ class Carriers(Mapping):
     def __len__(self) -> int:
         return len(self.cubes)
 
+    @functools.cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:  # the label sort, once
+        order = np.argsort(self.labels, axis=None, kind="stable")
+        return order, np.searchsorted(self.labels.ravel()[order], np.arange(len(self.cubes) + 1))
+
     def sums(self, cells: np.ndarray) -> list[float]:
         """cells[self[q]].sum() per cube in one pass: numpy's pairwise sum of
-        the carrier's cells in C order, a segment of a stable label sort."""
-        order = np.argsort(self.labels, axis=None, kind="stable")
-        ends = np.searchsorted(self.labels.ravel()[order], np.arange(len(self.cubes) + 1))
+        the carrier's cells in C order, a segment of the stable label sort."""
+        order, ends = self._segments
         vals = cells.ravel()[order]
         return [float(vals[a:b].sum()) for a, b in zip(ends[:-1], ends[1:])]
 

@@ -12,9 +12,11 @@ former per-(b, f) block form on the library's level gather, which the
 planned commutator must reproduce bit for bit; and
 power_cell_average_2d_recursive, the former recursive power-weight
 quadrature, which the level-batched one must reproduce bit for bit;
-box_integrals_replay, the former per-corner box integral, and
-nearest_ancestors_walk, the former parent walk of certify_sparse, which
-box_integrals and the certificate's level sweep must reproduce exactly.
+box_integrals_replay, the former per-corner box integral,
+nearest_ancestors_walk, the former parent walk of certify_sparse, and
+level_blocks_per_level, the former per-(grid, level) level-block build,
+which box_integrals, the certificate's level sweep and the per-axis
+level-block tables must reproduce exactly.
 The per-cube exact geometry the level sweeps replaced (containing_cube,
 smallest_covering_cube, cubes_inside_root) and box_average live here too.
 """
@@ -24,7 +26,14 @@ import math
 
 import numpy as np
 
-from sparsefrac.grid import DyadicCube, DyadicGridFamily, GridFunction
+from sparsefrac.grid import (
+    DyadicCube,
+    DyadicGridFamily,
+    GridFunction,
+    LevelBlocks,
+    _cell_units,
+    _overlap_fractions,
+)
 from sparsefrac.operators import OperatorOutput
 from sparsefrac.orlicz import EXPM1, YoungFunction
 from sparsefrac.sparse import SparseCertificate, SparseFamily, sparse_select_for_operator
@@ -885,3 +894,31 @@ def naive_summation_sides(case, top: DyadicCube) -> tuple[float, float]:
             if k == top.level:  # the top cube itself
                 rhs = term
     return lhs, rhs
+
+
+def level_blocks_per_level(family: DyadicGridFamily, grid_id: int, level: int,
+                           depth: int) -> LevelBlocks:
+    """The library's former per-(grid, level) DyadicGridFamily.level_blocks:
+    each axis from the float corners of cube_corners in cell units.  The
+    per-axis tables of every level must reproduce it bit for bit."""
+    m = 2 ** depth
+    b = 1 << (depth - level)
+    h = family.root.side / m
+    start, idx, frac, row = [], [], [], []
+    for d, e in enumerate(family._shift_signs(grid_id, level)):
+        # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
+        holder = (6 * np.arange(m) + 3 - 2 * b * e) // (6 * b)
+        coords = np.arange(holder[0], holder[-1] + 1)
+        u, v = (
+            _cell_units(x[:, d], family.root.origin[d], h, m)[:, None]
+            for x in family.cube_corners(grid_id, level, np.repeat(coords[:, None], family.n, 1))
+        )
+        i0, i1 = np.floor(u).astype(np.int64), np.ceil(v).astype(np.int64)
+        j = i0 + np.arange(int((i1 - i0).max()))
+        start.append(int(holder[0]))
+        idx.append(np.where(j < i1, j, m))
+        frac.append(_overlap_fractions(u, v, j))
+        row.append(holder - holder[0])
+    for a in idx + frac + row:
+        a.flags.writeable = False
+    return LevelBlocks(tuple(start), tuple(idx), tuple(frac), tuple(row))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsefrac import grid
 from sparsefrac.grid import (
     _BOX_CHUNK,
     DyadicCube,
@@ -23,6 +24,7 @@ from .oracles import (
     cells_in_cube,
     containing_cube,
     cubes_inside_root,
+    level_blocks_per_level,
     naive_box_integral,
     naive_cube_average,
     smallest_covering_cube,
@@ -206,6 +208,54 @@ class TestLevelBlocks:
     def test_rejects_levels_finer_than_the_mesh(self, root1):
         with pytest.raises(ValueError, match="finer"):
             DyadicGridFamily(root1, 6).level_blocks(0, 5, 4)
+
+    # the last two roots have unequal axis origins, so a table keyed
+    # without the origin would hand one axis the other's fractions
+    ROOTS = [((0,), 1), ((0.1,), 0.9), ((-0.3,), 2.5),
+             ((0, 0), 1), ((0.1, 0.7), 0.9), ((-0.3, 0.7), 2.5)]
+
+    @pytest.mark.parametrize("origin,side", ROOTS)
+    def test_tables_equal_the_per_level_build(self, origin, side):
+        root = RootBox(origin, side)
+        for depth in range(1, (6 if root.n == 1 else 5) + 1):
+            fam = DyadicGridFamily(root, depth)
+            for gid in range(fam.num_grids):
+                for k in range(depth + 1):
+                    got = fam.level_blocks(gid, k, depth)
+                    ref = level_blocks_per_level(fam, gid, k, depth)
+                    assert got.start == ref.start
+                    for name in ("idx", "frac", "row"):
+                        for a, b in zip(getattr(got, name), getattr(ref, name), strict=True):
+                            assert (a.dtype, a.shape, a.flags.writeable) == (
+                                b.dtype, b.shape, b.flags.writeable)
+                            assert a.tobytes() == b.tobytes()
+
+    def test_tables_are_built_per_axis_on_first_use(self, monkeypatch):
+        built = []
+
+        def recorded(origin, t, depth, side):
+            built.append((origin, t, depth))
+            return axis_levels(origin, t, depth, side)
+
+        axis_levels = grid._axis_levels
+        monkeypatch.setattr(grid, "_axis_levels", recorded)
+        fam = DyadicGridFamily(RootBox((0.1, 0.7), 0.9), 5)
+        assert fam._axis_tables.cache_info().currsize == 0
+        for bad in ((4, 2, 5), (0, 6, 6), (1, 5, 4)):  # grid id, level, depth
+            with pytest.raises(ValueError):
+                fam.level_blocks(*bad)
+        assert built == []
+        fam.level_blocks(2, 3, 5)  # grid 2 shifts axis 1 only
+        assert built == [(0.1, 0, 5), (0.7, 1, 5)]
+        fam.level_blocks(2, 0, 5)
+        fam.level_blocks(0, 1, 5)  # shares axis 0 with grid 2
+        assert built == [(0.1, 0, 5), (0.7, 1, 5), (0.7, 0, 5)]
+        # equal axis origins share one table: grid 0 of the unit square has one
+        built.clear()
+        square = DyadicGridFamily(RootBox((0.0, 0.0), 1.0), 4)
+        square.level_blocks(0, 2, 4)
+        assert built == [(0.0, 0, 4)]
+        assert square._axis_tables.cache_info().currsize == 1
 
 
 class TestContainingCube:

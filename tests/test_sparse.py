@@ -170,6 +170,21 @@ class TestCertification:
             total += mask
         assert np.all(total <= 1)
 
+    @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 5)])
+    def test_carrier_sums_equal_masked_sums(self, root1, root2, dim, depth):
+        # one label sort serves every sums call of the certificate, and each
+        # call equals the masked pairwise sums bit for bit
+        root = root1 if dim == 1 else root2
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(5)
+        f = GridFunction(root, rng.lognormal(0.0, 2.0, (2 ** depth,) * dim))
+        carriers = certify_sparse(sparse_select_for_operator(f, fam, 1), fam, depth).carriers
+        assert len(carriers) >= 3
+        for cells in (f.cells, rng.uniform(-1.0, 1.0, f.cells.shape)):
+            assert carriers.sums(cells) == [float(cells[carriers[q]].sum()) for q in carriers]
+            segments = carriers._segments
+        assert carriers.sums(f.cells) and carriers._segments is segments
+
     def test_tree_and_mesh_disagreeing_is_not_disjoint(self, root1, monkeypatch):
         # parent coordinates that send the level-2 cube off the chain at
         # level 1 (and every level-1 cube to cube 0) make the level-0 cube
