@@ -55,6 +55,16 @@ def _corners(origin, side: float, level, num):
     return origin + side / (3 * (1 << level)) * num
 
 
+def _shift_sign(t, level):
+    """e = (-1)^level t, in {-1, 0, 1} for the shift t/3 (ints or integer arrays)."""
+    return (-1) ** level * t
+
+
+def _corner_thirds(m, t, level):
+    """3 m + e: the exact lower corner of level cube m, in thirds of its side."""
+    return 3 * m + _shift_sign(t, level)
+
+
 def _outer(axes):
     """Product over the mesh of one factor array per axis."""
     return functools.reduce(np.multiply.outer, axes)
@@ -187,9 +197,7 @@ class DyadicGridFamily:
             )
 
     def _shift_signs(self, grid_id: int, level: int) -> tuple[int, ...]:
-        # 3 * (-1)^level * t, an integer in {-1, 0, 1} per component
-        sign = 1 if level % 2 == 0 else -1
-        return tuple(sign * t for t in self.shift_thirds[grid_id])
+        return tuple(_shift_sign(t, level) for t in self.shift_thirds[grid_id])
 
     # -- exact geometry ---------------------------------------------------
 
@@ -198,8 +206,8 @@ class DyadicGridFamily:
 
         Returns (lo_num, hi_num, denom) with corner = origin + side*num/denom.
         """
-        e = self._shift_signs(cube.grid_id, cube.level)
-        lo = tuple(3 * m + ei for m, ei in zip(cube.coords, e))
+        lo = tuple(_corner_thirds(m, t, cube.level)
+                   for m, t in zip(cube.coords, self.shift_thirds[cube.grid_id]))
         hi = tuple(v + 3 for v in lo)
         return lo, hi, 3 * (1 << cube.level)
 
@@ -210,8 +218,8 @@ class DyadicGridFamily:
     def cube_corners(self, grid_id: int, level: int, coords) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners, each (N, n), of the cubes at integer coords (N, n):
         _corners of float(3 m + e [+ 3]), so every caller gets the same bits."""
-        num = 3 * np.asarray(coords, dtype=np.int64).reshape(-1, self.n)
-        num += self._shift_signs(grid_id, level)
+        num = _corner_thirds(np.asarray(coords, dtype=np.int64).reshape(-1, self.n),
+                             np.array(self.shift_thirds[grid_id]), level)
         return tuple(_corners(self.root.lo, self.root.side, level, x.astype(float))
                      for x in (num, num + 3))
 
@@ -228,13 +236,12 @@ class DyadicGridFamily:
         if p.grid_id != q.grid_id:
             raise ValueError("cubes from different grids")
         kmax = max(p.level, q.level)
-        plo, phi, pd = self.cube_bounds_thirds(p)
-        qlo, qhi, qd = self.cube_bounds_thirds(q)
-        pf, qf = (3 << kmax) // pd, (3 << kmax) // qd
-        plo = [v * pf for v in plo]
-        phi = [v * pf for v in phi]
-        qlo = [v * qf for v in qlo]
-        qhi = [v * qf for v in qhi]
+
+        def scaled(c):  # corner numerators over the denominator 3 * 2^kmax
+            lo, hi, _ = self.cube_bounds_thirds(c)
+            return [v << (kmax - c.level) for v in lo], [v << (kmax - c.level) for v in hi]
+
+        (plo, phi), (qlo, qhi) = scaled(p), scaled(q)
         if plo == qlo and phi == qhi:
             return "equal"
         if all(a <= b and c <= d for a, b, c, d in zip(qlo, plo, phi, qhi)):
@@ -251,17 +258,9 @@ class DyadicGridFamily:
         self._check_level(cube.level + 1)
         e = self._shift_signs(cube.grid_id, cube.level)
         base = tuple(2 * m + ei for m, ei in zip(cube.coords, e))
-        kids = []
-        for j in range(2 ** self.n):
-            off = tuple((j >> d) & 1 for d in range(self.n))
-            kids.append(
-                DyadicCube(
-                    cube.grid_id,
-                    cube.level + 1,
-                    tuple(b + o for b, o in zip(base, off)),
-                )
-            )
-        return kids
+        return [DyadicCube(cube.grid_id, cube.level + 1,
+                           tuple(b + ((j >> d) & 1) for d, b in enumerate(base)))
+                for j in range(2 ** self.n)]
 
     def child_coords(self, grid_id: int, level: int, coords) -> np.ndarray:
         """Coordinates (N * 2^n, n) of the children of the level cubes at
@@ -340,12 +339,12 @@ def _axis_levels(origin: float, t: int, depth: int, side: float) -> list[tuple]:
     """One axis of level_blocks for every level 0..K in one pass: per level
     (start, idx, frac, row) for the axis at origin with shift t/3."""
     m, lev = 1 << depth, np.arange(depth + 1)
-    b, e = 1 << (depth - lev), np.where(lev % 2, -t, t)  # e: 3 * (-1)^k * t
+    b, e = 1 << (depth - lev), _shift_sign(t, lev)
     # cube holding the centre i + 1/2: floor((i + 1/2) / b - e / 3), exactly
     holder = (6 * np.arange(m) + 3 - (2 * b * e)[:, None]) // (6 * b)[:, None]
     start, rows = holder[:, 0], holder[:, -1] + 1 - holder[:, 0]
     first, k = np.cumsum(rows) - rows, np.repeat(lev, rows)  # k: the level of each row
-    num = 3 * (start[k] + np.arange(k.size) - first[k]) + e[k]
+    num = _corner_thirds(start[k] + np.arange(k.size) - first[k], t, k)
     # corners as cube_corners computes them, so rows reproduce box_overlap bit for bit
     u, v = (_cell_units(_corners(origin, side, k, x.astype(float)), origin, side / m, m)
             for x in (num, num + 3))
@@ -369,7 +368,9 @@ class LevelBlocks:
     start[d] is the cube coordinate of row 0; idx[d] (rows, width) lists
     the cells each row meets in the mesh zero-extended by one cell (index
     2^K); frac[d] holds their overlap fractions; row[d] maps every cell to
-    the row whose cube holds its centre.  All are read-only, shared per axis."""
+    the row whose cube holds its centre.  All are read-only, shared per axis.
+    gather and rows read any number of cell arrays at once, with one
+    fraction array for all of them."""
 
     start: tuple[int, ...]
     idx: tuple[np.ndarray, ...]
@@ -391,24 +392,26 @@ class LevelBlocks:
         """Per-axis row slices for inclusive cube-coordinate ranges [m_lo, m_hi]."""
         return tuple(slice(lo - s, hi + 1 - s) for (lo, hi), s in zip(ranges, self.start))
 
-    def gather(self, cells: np.ndarray, sel=None) -> tuple[np.ndarray, np.ndarray]:
-        """Cell values and overlap fractions laid out (rows0, w0[, rows1, w1]),
-        which on the unshifted grid is cells.reshape(nc, b[, nc, b]); sel is
-        a per-axis slice of rows (see select)."""
+    def gather(self, *cells: np.ndarray, sel=None) -> tuple[np.ndarray, ...]:
+        """(*values, frac): the values of each cell array and the overlap
+        fractions they share, laid out (rows0, w0[, rows1, w1]), which on
+        the unshifted grid is cells.reshape(nc, b[, nc, b]); sel is a
+        per-axis slice of rows (see select)."""
         sel = sel or (slice(None),) * len(self.idx)
-        vals = np.zeros(tuple(d + 1 for d in cells.shape))
-        vals[tuple(slice(0, d) for d in cells.shape)] = cells
+        vals = np.zeros((len(cells), *(d + 1 for d in cells[0].shape)))
+        for v, c in zip(vals, cells):
+            v[(slice(-1),) * c.ndim] = c
         for d, (i, s) in enumerate(zip(self.idx, sel)):
-            vals = vals.take(i[s], axis=2 * d)
-        return vals, _outer([f[s] for f, s in zip(self.frac, sel)])
+            vals = vals.take(i[s], axis=2 * d + 1)
+        return (*vals, _outer([f[s] for f, s in zip(self.frac, sel)]))
 
-    def rows(self, cells: np.ndarray, sel=None) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, *cells: np.ndarray, sel=None) -> tuple[np.ndarray, ...]:
         """gather with one row per cube, (cubes, cells met), cubes in
         lexicographic coordinate order."""
         return tuple(
             a.transpose(*range(0, a.ndim, 2), *range(1, a.ndim, 2))
             .reshape(math.prod(a.shape[::2]), math.prod(a.shape[1::2]))
-            for a in self.gather(cells, sel)
+            for a in self.gather(*cells, sel=sel)
         )
 
     def spread(self, per_cube: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DyadicCube, DyadicGridFamily, GridFunction, cubes_by_level
-from .orlicz import YoungFunction, checked_blocks, luxemburg_norm_blocks
+from .orlicz import YoungFunction, luxemburg_norm_blocks
 from .weights import CubeBattery
 
 __all__ = [
@@ -137,8 +137,8 @@ def _orlicz_rows(
     sqs, parts = [], []
     for k in range(f.depth + 1):
         blocks = family.level_blocks(grid_id, k, f.depth)
-        vals, frac = blocks.rows(f.cells)
-        mass = blocks.rows(sigma.cells)[0] * frac * f.cell_volume
+        vals, sig, frac = blocks.rows(f.cells, sigma.cells)
+        mass = sig * frac * f.cell_volume
         sq = mass.sum(axis=1)
         live = sq > 0
         sqs.append(sq)
@@ -160,10 +160,9 @@ def _orlicz_rows(
         held[at[~(high < low.max(axis=0))]] = True
         return held[has_mass]
 
-    if alpha is not None:
-        parts = checked_blocks(parts)
-        parts.keep = keep
-    rows = list(zip(sqs, np.split(per_cube(luxemburg_norm_blocks(parts, phi)), ends[:-1])))
+    gauged = (luxemburg_norm_blocks(parts, phi) if alpha is None  # every cube's norm
+              else luxemburg_norm_blocks(parts, phi, keep=keep))
+    rows = list(zip(sqs, np.split(per_cube(gauged), ends[:-1])))
     for sq, norms in rows:
         sq.flags.writeable = norms.flags.writeable = False  # shared in a run scope
     return rows
@@ -374,12 +373,11 @@ def dyadic_commutator(
         order, split = (a.astype(np.intp) for a in level)  # each used twice below
         factor = family.side_at(k) ** alpha / family.volume_at(k)
         blocks = family.level_blocks(grid_id, k, f.depth)
-        fv, frac = blocks.rows(f.cells)
+        fv, bv, frac = blocks.rows(f.cells, b.cells)
         fms = (fv * frac * f.cell_volume).ravel()[order]
         zero = np.zeros((len(fv), 1))
         cfm = np.concatenate([zero, np.cumsum(fms, axis=1)], axis=1)
-        cbm = np.concatenate(
-            [zero, np.cumsum(blocks.rows(b.cells)[0].ravel()[order] * fms, axis=1)], axis=1)
+        cbm = np.concatenate([zero, np.cumsum(bv.ravel()[order] * fms, axis=1)], axis=1)
         out += factor * (b.cells * (2.0 * cfm - cfm[:, -1:]).ravel()[split]
                          + (cbm[:, -1:] - 2.0 * cbm).ravel()[split])
         visits += len(fv)

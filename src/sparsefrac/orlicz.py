@@ -18,19 +18,20 @@ block on its own gives, bit for bit.  A caller gauging the same rows many
 times checks them once (checked_blocks).
 
 A value is 0 or lies in [bottom, top / (1 - 2 rtol)], so a caller after
-maxima keeps the rows that can hold one, and only those are bisected.  A
-block stops when its slowest row meets rtol, so every row of a block
-with a kept row is still bracketed and a dropped row's stop step is read
-off its bracket and band: after j steps the width is (hi - lo) 2^-j to
-within eps (top + j 2^-j hi + eps hi), and rows that bound leaves open
-are bisected too (_stop_steps).
+maxima passes the call a keep rule (its keep argument) that picks the
+rows that can hold one, and only those are bisected.  A block stops when
+its slowest row meets rtol, so every row of a block with a kept row is
+still bracketed and a dropped row's stop step is read off its bracket and
+band: after j steps the width is (hi - lo) 2^-j to within
+eps (top + j 2^-j hi + eps hi), and rows that bound leaves open are
+bisected too (_stop_steps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -219,11 +220,7 @@ def _locate_roots(a: np.ndarray, m: np.ndarray, row: np.ndarray, nrows: int,
 
 class CheckedBlocks(list):
     """Blocks as luxemburg_norm_blocks checks them, one (|values|, masses
-    normalized per row) pair per block; it takes them as they are.  keep,
-    when set, is the rule that picks the rows the call bisects (see
-    luxemburg_norm_blocks)."""
-
-    keep = None
+    normalized per row) pair per block; it takes them as they are."""
 
 
 def checked_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> CheckedBlocks:
@@ -243,11 +240,6 @@ def checked_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> CheckedBl
             raise ValueError("degenerate measure")
         rows.append((a, m / total[:, None]))
     return rows
-
-
-def _check_rtol(rtol: float) -> None:
-    if not rtol > 4.0 * _EPS:
-        raise ValueError("rtol must exceed the float spacing")
 
 
 def _live_bands(rows, phi: YoungFunction):
@@ -306,7 +298,8 @@ def _stop_steps(lo, hi, bottom, top, rtol: float) -> np.ndarray:
 
 
 def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-                          phi: YoungFunction, rtol: float = 1e-13) -> np.ndarray:
+                          phi: YoungFunction, rtol: float = 1e-13,
+                          keep: Callable | None = None) -> np.ndarray:
     """Luxemburg gauge of sampled |values| against normalized masses for
     a sequence of (values, masses) blocks of shape (rows_i, cells_i): one
     value per row, block after block.  CheckedBlocks are taken as they are.
@@ -337,13 +330,16 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     values depend only on its own rows.  The scope silences overflow and
     invalid values, which only Phi and the bracket doubling can produce.
 
-    CheckedBlocks with keep set hand each row's value bounds (max(bottom,
-    0), top / (1 - 2 rtol)), or (0, 0) where no positive value carries
-    mass, to keep, which returns the rows to bisect; the others gauge 0.
-    Blocks with none are not bracketed; in the rest, the dropped rows'
-    stop steps (_stop_steps) floor the block's, so kept rows keep their bits.
+    keep, when given, is the caller's rule for which rows to bisect: it
+    takes each row's value bounds (max(bottom, 0), top / (1 - 2 rtol)), or
+    (0, 0) where no positive value carries mass, and returns the mask of
+    rows to bisect; the others gauge 0.  Blocks with none are not
+    bracketed; in the rest, the dropped rows' stop steps (_stop_steps)
+    floor the block's, so kept rows keep their bits.  The power kinds,
+    which do not bisect, ignore it.
     """
-    _check_rtol(rtol)
+    if not rtol > 4.0 * _EPS:
+        raise ValueError("rtol must exceed the float spacing")
     rows = blocks if isinstance(blocks, CheckedBlocks) else checked_blocks(blocks)
     if phi.kind == "power":
         return np.concatenate([np.zeros(0)] + [_p_means(a, m, phi.exponent) for a, m in rows])
@@ -380,10 +376,10 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
         return ok
 
     run = np.ones(len(bottom), dtype=bool)  # the rows to bracket, then to bisect
-    if rows.keep is not None:
+    if keep is not None:
         bounds = np.zeros((2, len(out)))  # (low, high) per row
         bounds[:, live] = np.fmax(bottom, 0.0), top / (1.0 - 2.0 * rtol)
-        kept = rows.keep(*bounds)[live]
+        kept = keep(*bounds)[live]
         # only blocks with a kept row are bracketed, and the rows whose
         # bracket could double past the float range (no other row can)
         run = (np.bincount(blk[kept], minlength=len(count)) > 0)[blk] | ~(top < 2.0 ** 1023)
@@ -406,7 +402,7 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
         # a block stops once all its rows meet rtol, at or after its floor:
         # _unchecked_steps(rtol) and the stop steps of its dropped rows
         floor = np.full(len(live_rows), _unchecked_steps(rtol))
-        if rows.keep is not None:
+        if keep is not None:
             kept &= run
             run &= (np.bincount(blk[kept], minlength=len(count)) > 0)[blk]  # not without one
             drop = np.flatnonzero(run & ~kept)
@@ -441,16 +437,13 @@ def luxemburg_norm_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 def luxemburg_norm_max(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                        phi: YoungFunction, rtol: float = 1e-13) -> float:
     """luxemburg_norm_blocks(blocks, phi, rtol).max(initial=0.0), bit for
-    bit, bisecting only the rows whose top / (1 - 2 rtol) reaches the
-    largest bottom: no other row holds the maximum.  The other rows of
-    their blocks give their stop steps by the read-off of _stop_steps (the
-    bracket's width after j steps to within eps (top + j 2^-j hi + eps hi));
-    other blocks are not bracketed.  Every block is checked and every root
-    located once."""
-    _check_rtol(rtol)
-    rows = checked_blocks(blocks)
-    rows.keep = lambda low, high: high >= low.max()
-    return float(luxemburg_norm_blocks(rows, phi, rtol).max(initial=0.0))
+    bit: one call whose keep rule bisects only the rows whose
+    top / (1 - 2 rtol) reaches the largest bottom, since no other row holds
+    the maximum.  The other rows of their blocks give their stop steps by
+    the read-off of _stop_steps (the bracket's width after j steps to
+    within eps (top + j 2^-j hi + eps hi)); other blocks are not bracketed."""
+    return float(luxemburg_norm_blocks(
+        blocks, phi, rtol, keep=lambda low, high: high >= low.max()).max(initial=0.0))
 
 
 def amemiya_norm(f: GridFunction, lo, hi, sigma: GridFunction, phi: YoungFunction) -> float:

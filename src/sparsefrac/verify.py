@@ -88,6 +88,9 @@ __all__ = [
     "write_reports_json",
     "write_sweep_csv",
     "CSV_COLUMNS",
+    "YOUNG_FUNCTIONS", "WEIGHT_KINDS", "FUNCTION_KINDS", "BUMP_KINDS",
+    "materialize_weight", "materialize_function", "materialize_bump",
+    "workspace", "write_csv",
 ]
 
 DEFAULT_ROOT_1D = RootBox((0.0,), 1.0)
@@ -587,8 +590,7 @@ def verify_wtd_bmo(case: TestCase) -> list[VerificationReport]:
     def oscillation_gauge() -> float:
         avg = ws.battery.averages(b)
         parts = [(vals - avg[sl, None], sig * frac * sigma.cell_volume)
-                 for (sl, vals, frac), (_, sig, _) in zip(ws.battery.overlap_rows(b),
-                                                          ws.battery.overlap_rows(sigma))
+                 for sl, vals, sig, frac in ws.battery.overlap_rows(b, sigma)
                  if len(vals)]  # a level with no cube inside the root box has no rows
         return luxemburg_norm_max(parts, EXPM1)
     lhs = _shared("oscillation_gauge", (b, sigma), (ws.battery,), oscillation_gauge)

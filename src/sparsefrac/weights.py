@@ -144,16 +144,16 @@ class CubeBattery:
         """Plain averages of gf over every battery cube."""
         return gf.box_integrals(self._lo, self._hi) / self._vol
 
-    def overlap_rows(self, gf: GridFunction):
-        """Per (grid, level): (battery index slice, cell values, overlap
-        fractions), one row per cube; a level's battery cubes are a
-        contiguous row range of its level_blocks gather."""
+    def overlap_rows(self, *functions: GridFunction):
+        """Per (grid, level): (battery index slice, *cell values of each
+        function, overlap fractions) from one gather, one row per cube; a
+        level's battery cubes are a contiguous row range of its level_blocks."""
         start = 0
         for g, k, ranges in self._levels:
-            blocks = self.family.level_blocks(g, k, gf.depth)
-            vals, frac = blocks.rows(gf.cells, blocks.select(ranges))
-            yield slice(start, start + len(vals)), vals, frac
-            start += len(vals)
+            blocks = self.family.level_blocks(g, k, functions[0].depth)
+            rows = blocks.rows(*(f.cells for f in functions), sel=blocks.select(ranges))
+            yield slice(start, start + len(rows[0])), *rows
+            start += len(rows[0])
 
     def cell_min(self, gf: GridFunction) -> np.ndarray:
         """Per-cube minimum over cells meeting the cube with positive measure."""

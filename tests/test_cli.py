@@ -116,6 +116,28 @@ class TestTwoDimensions:
 
 
 class TestVerify:
+    # ROADMAP item 16: on a root box whose origin is not dyadic a cube
+    # outside it, such as grid 1's level-0 cube [1.0, 1.9) beside the root
+    # box [0.1, 1.0), gets a box integral of about 1e-16 because its float
+    # corners reach the last cell; sparse selection seeds it, its selected
+    # descendants' carriers hold no cell, and the second duality ratio
+    # divides by 0.  Both dimensions fail so from depth 1 up.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "duality_cubes/w0-constant/f-const measures inf: cube_integrals gives a "
+        "cube outside a non-dyadic root box a positive mass (ROADMAP item 16)"))
+    @pytest.mark.parametrize("origin", [[0.1], [0.1, 0.7]], ids=["1d", "2d"])
+    def test_sample_config_passes_on_a_non_dyadic_root(self, runner, tmp_path, origin):
+        doc = yaml.safe_load((Path(__file__).resolve().parents[1] / "sample-config.yaml")
+                             .read_text())
+        doc["run"].update(depth=1, battery_depth=1, out=str(tmp_path / "out"))
+        doc["domain"].update(dimension=len(origin), origin=origin, side=0.9)
+        if len(origin) == 2:
+            doc["exponents"]["alpha"] = 0.6  # the 2-d variant's
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["verify", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+
     def test_battery_passes_and_writes_csv(self, runner, tmp_path):
         path, out = write_config(tmp_path)
         result = runner.invoke(main, ["verify", "--config", str(path)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,51 @@ class TestGridAxioms:
                     kids = [kid.coords for c in cubes for kid in fam.children(c)]
                     assert [tuple(m) for m in fam.child_coords(gid, k, coords).tolist()] == kids
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([((0.0,), 1.0), ((0.1,), 0.9), ((-0.3, 0.7), 2.5)]), st.data())
+    def test_exact_corners_against_fractions(self, box, data):
+        # a level-k cube of grid g is s_k ([0, 1)^n + m + (-1)^k t) with
+        # t = shift / 3; its exact interval, in root sides from the origin,
+        # decides the corner numerators, the float corners to a few eps and
+        # the set relation by interval containment
+        origin, side = box
+        fam = DyadicGridFamily(RootBox(origin, side), 8)
+        n, g = len(origin), data.draw(st.integers(0, 2 ** len(origin) - 1))
+        shift = [Fraction((g >> d) & 1, 3) for d in range(n)]
+
+        def exact(k, m):  # per axis (lo, hi)
+            return [((c + (-1) ** k * t) / 2 ** k, (c + 1 + (-1) ** k * t) / 2 ** k)
+                    for c, t in zip(m, shift)]
+
+        kp = data.draw(st.integers(0, 8))
+        p = DyadicCube(g, kp, tuple(data.draw(st.integers(-2 ** kp - 1, 2 ** (kp + 1)))
+                                    for _ in range(n)))
+        # q at any level near p: the cube holding p's lower corner, or a neighbour
+        kq = data.draw(st.integers(0, 8))
+        q = DyadicCube(g, kq, tuple(
+            math.floor(lo * 2 ** kq - (-1) ** kq * t) + data.draw(st.integers(-1, 1))
+            for (lo, _), t in zip(exact(kp, p.coords), shift)))
+        for cube in (p, q):
+            lo_num, hi_num, denom = fam.cube_bounds_thirds(cube)
+            want = exact(cube.level, cube.coords)
+            assert denom == 3 * 2 ** cube.level
+            assert [(Fraction(a, denom), Fraction(b, denom))
+                    for a, b in zip(lo_num, hi_num)] == want
+            lo, hi = fam.cube_corners(g, cube.level, [cube.coords])
+            s = Fraction(side)
+            for corners, o, ends in zip(zip(lo[0], hi[0]), map(Fraction, origin), want):
+                for corner, y in zip(corners, ends):
+                    err = abs(Fraction(corner) - (o + s * y))
+                    assert err <= (abs(o) + 2 * s * abs(y)) / 2 ** 52
+        ip, iq = exact(kp, p.coords), exact(kq, q.coords)
+        inside = [all(c <= a and b <= d for (a, b), (c, d) in zip(x, y))
+                  for x, y in ((ip, iq), (iq, ip))]
+        apart = any(b <= c or d <= a for (a, b), (c, d) in zip(ip, iq))
+        assert all(inside) or inside[0] + inside[1] + apart == 1  # nested or disjoint
+        want = ("equal" if all(inside) else "p_in_q" if inside[0]
+                else "q_in_p" if inside[1] else "disjoint")
+        assert fam.relation(p, q) == want
+
     def test_one_third_covering(self, root1):
         fam = DyadicGridFamily(root1, 10)
         rng = np.random.default_rng(11)
@@ -184,7 +230,7 @@ class TestLevelBlocks:
                 for cube in cubes_inside_root(fam, gid, k):
                     sel = blocks.select([(c, c) for c in cube.coords])
                     sl, frac = f.box_overlap(*fam.cube_bounds(cube))
-                    vals, fracs = blocks.rows(f.cells, sel)
+                    vals, fracs = blocks.rows(f.cells, sel=sel)
                     assert vals.shape == fracs.shape == (1, frac.size)
                     assert np.array_equal(vals[0], f.cells[sl].ravel())
                     assert np.array_equal(fracs[0], frac.ravel())
@@ -229,6 +275,27 @@ class TestLevelBlocks:
                             assert (a.dtype, a.shape, a.flags.writeable) == (
                                 b.dtype, b.shape, b.flags.writeable)
                             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("origin,side", ROOTS)
+    def test_one_gather_for_several_functions(self, origin, side):
+        # gather(a, b) and rows(a, b) hand each function the bytes its own
+        # call gives and the fractions once, with and without a row selection
+        root = RootBox(origin, side)
+        depth = 6 if root.n == 1 else 4
+        fam = DyadicGridFamily(root, depth)
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((2,) + (2 ** depth,) * root.n)
+        for gid in range(fam.num_grids):
+            for k in range(depth + 1):
+                blocks = fam.level_blocks(gid, k, depth)
+                for sel in (None, blocks.select(fam.inside_range(gid, k))):
+                    for how in (blocks.gather, blocks.rows):
+                        (av, frac), (bv, _) = how(a, sel=sel), how(b, sel=sel)
+                        got = how(a, b, sel=sel)
+                        assert len(got) == 3
+                        for x, y in zip(got, (av, bv, frac)):
+                            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                            assert x.tobytes() == y.tobytes()
 
     def test_tables_are_built_per_axis_on_first_use(self, monkeypatch):
         built = []

@@ -122,3 +122,32 @@ def test_run_files_written_only_by_the_writers():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= write_sites(path)
     assert found == WRITE_SITES
+
+
+def exported(module: str) -> set[str]:
+    """The names in a package module's __all__."""
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_names_imported_across_modules_are_exported():
+    # what one module imports from another is that module's public
+    # interface, so its __all__ lists it (the package's own names, such
+    # as __version__, are read from __init__, which has no __all__)
+    exports = {path.stem: exported(path.stem) for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "sparsefrac":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found += [f"{path.name}: {module}.{alias.name}" for alias in node.names
+                          if alias.name not in exports[module]]
+    assert found == []

@@ -315,7 +315,9 @@ class TestOrliczMaximal:
     def test_pruned_equals_full_rows(self, phi, alpha, mesh, box, spread, hole, seed):
         # the pruned operator against the spread of every cube's norm, on
         # dyadic and non-dyadic roots, log-normal f up to sigma 6, and a
-        # corner of no sigma-mass
+        # corner of no sigma-mass; its gauge call, with the keep rule as an
+        # argument, gives every kept row the value of the call without one
+        # and every other row that value or 0
         (dim, depth), (origin, side) = mesh, box
         root = RootBox((origin,) * dim, side)
         fam = DyadicGridFamily(root, depth)
@@ -326,12 +328,31 @@ class TestOrliczMaximal:
         if hole:
             cells[(slice(0, 2 ** (depth - 1)),) * dim] = 0.0
         sigma = GridFunction(root, cells)
+        full, seen = operators.luxemburg_norm_blocks, []
+
+        def spied(parts, phi, rtol=1e-13, keep=None):
+            kept = []
+
+            def recorded(low, high):
+                kept.append(keep(low, high))
+                return kept[0]
+
+            norms = full(parts, phi, rtol, keep=recorded)
+            seen.append((norms, full(parts, phi, rtol), kept[0]))
+            return norms
+
         for gid in range(fam.num_grids):
-            got = weighted_orlicz_fractional_maximal(f, sigma, alpha, phi, fam, gid)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(operators, "luxemburg_norm_blocks", spied)
+                got = weighted_orlicz_fractional_maximal(f, sigma, alpha, phi, fam, gid)
             rows = operators.orlicz_level_rows(f, sigma, phi, fam, gid)
             ref = weighted_orlicz_fractional_maximal(f, sigma, alpha, phi, fam, gid, rows=rows)
             assert np.array_equal(got.cells, ref.cells)
             assert got.cube_visits == ref.cube_visits
+        assert len(seen) == fam.num_grids
+        for norms, want, kept in seen:
+            assert kept.any() and np.array_equal(norms[kept], want[kept])
+            assert np.all((norms == want) | (norms == 0.0))
 
     @pytest.mark.parametrize("dim,depth,alpha", [(1, 10, 1 / 3), (2, 5, 0.8)])
     def test_bisects_few_rows(self, dim, depth, alpha, monkeypatch):
@@ -352,8 +373,8 @@ class TestOrliczMaximal:
         full = operators.luxemburg_norm_blocks
         counts = []
 
-        def counted(parts, phi, rtol=1e-13):
-            got = full(parts, phi, rtol)
+        def counted(parts, phi, rtol=1e-13, keep=None):
+            got = full(parts, phi, rtol, keep)
             counts.append((np.count_nonzero(got), got.size))
             return got
 

@@ -319,8 +319,8 @@ class TestBatchedGauge:
         held = []
         full = orlicz.luxemburg_norm_blocks
 
-        def counted(parts, phi, rtol=1e-13):
-            got = full(parts, phi, rtol)
+        def counted(parts, phi, rtol=1e-13, keep=None):
+            got = full(parts, phi, rtol, keep)
             held.append(sum(bool(part.any()) for part in np.split(
                 got, np.cumsum([len(a) for a, _ in parts])[:-1])))
             return got

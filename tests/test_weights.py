@@ -143,6 +143,22 @@ class TestCubeBattery:
         assert np.array_equal(bat._hi, hi)
         assert np.array_equal(bat._vol, vol)
 
+    @pytest.mark.parametrize("origin,side,depth", [((0.0,), 1.0, 7), ((0.1,), 0.9, 7),
+                                                   ((-0.3, 0.7), 2.5, 4)])
+    def test_overlap_rows_of_two_functions_equal_the_pair(self, origin, side, depth):
+        # one gather for b and sigma hands each the rows its own walk gives
+        root = RootBox(origin, side)
+        bat = CubeBattery(DyadicGridFamily(root, depth), depth - 1)
+        rng = np.random.default_rng(41)
+        b, sigma = (GridFunction(root, rng.lognormal(0.0, 1.0, (2 ** depth,) * root.n))
+                    for _ in range(2))
+        for (sl, bv, sv, frac), (sb, bv1, fb), (ss, sv1, fs) in zip(
+                bat.overlap_rows(b, sigma), bat.overlap_rows(b), bat.overlap_rows(sigma),
+                strict=True):
+            assert sl == sb == ss
+            for x, y in ((bv, bv1), (sv, sv1), (frac, fb), (frac, fs)):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+
 
 class TestCharacteristics:
     def test_unit_weight(self, bat6):
